@@ -9,18 +9,18 @@ across PRs:
    stay comparable with earlier PRs) and records wall-clock plus
    speedup over serial.
 2. **Pooled vs. throwaway** — runs a sequence of small figure-sized
-   replication calls twice: once creating and tearing down a process
+   replication calls twice: once creating and tearing down a worker
    pool per call (the pre-backend behaviour) and once through a single
-   persistent :class:`~repro.experiments.backends.ProcessBackend`.  The
-   pooled run must not be slower — fork/teardown cost is paid once, not
-   once per figure.
+   persistent :class:`~repro.experiments.backends.AsyncBackend`.  The
+   pooled run must not be slower — spawn/teardown cost is paid once,
+   not once per figure.
 3. **Batched grids** — submits several figure plans' grids as one
    interleaved :meth:`~repro.experiments.parallel.ParallelRunner.run_grids`
    batch (the ``run_paper`` path) and per figure via ``run_grid``, and
    asserts records *and* aggregated rows are bit-identical.
 
-Aggregated metrics must be bit-identical across the serial, process and
-thread backends at every worker count, and the batched-grid submission
+Aggregated metrics must be bit-identical between the serial backend and
+the worker pool at every worker count, and the batched-grid submission
 must match per-figure submission — both are asserted unconditionally.
 The wall-clock assertions (≥2× speedup at 4 workers on a ≥4-core box,
 pooled ≤ throwaway) are skipped when ``REPRO_BENCH_NO_ASSERT`` is set,
@@ -41,7 +41,7 @@ from pathlib import Path
 from conftest import bench_host, bench_no_assert
 
 from repro.experiments import figures
-from repro.experiments.backends import AsyncBackend, ProcessBackend, SerialBackend, ThreadBackend
+from repro.experiments.backends import AsyncBackend, SerialBackend
 from repro.experiments.parallel import ParallelRunner, ScenarioSpec, spawn_seeds
 from repro.experiments.runner import summarize
 
@@ -71,7 +71,7 @@ def _summaries(records):
 
 
 def _scaling_backend(workers):
-    return SerialBackend() if workers == 1 else ProcessBackend(workers=workers)
+    return SerialBackend() if workers == 1 else AsyncBackend(workers=workers)
 
 
 def _run_reuse_calls(runner, seeds):
@@ -102,27 +102,21 @@ def test_parallel_scaling(benchmark):
         started = time.perf_counter()
         throwaway_records = []
         for spec in REUSE_SCENARIOS:
-            with ProcessBackend(workers=pool_workers) as backend:
+            with AsyncBackend(workers=pool_workers) as backend:
                 throwaway_records.append(
                     ParallelRunner(backend=backend).replicate(spec, reuse_seeds)
                 )
         reuse["throwaway_s"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        with ProcessBackend(workers=pool_workers) as backend:
+        with AsyncBackend(workers=pool_workers) as backend:
             pooled_records = _run_reuse_calls(ParallelRunner(backend=backend), reuse_seeds)
         reuse["pooled_s"] = time.perf_counter() - started
 
         serial_records = _run_reuse_calls(ParallelRunner(backend=SerialBackend()), reuse_seeds)
-        with ThreadBackend(workers=pool_workers) as backend:
-            thread_records = _run_reuse_calls(ParallelRunner(backend=backend), reuse_seeds)
-        with AsyncBackend(workers=pool_workers) as backend:
-            async_records = _run_reuse_calls(ParallelRunner(backend=backend), reuse_seeds)
 
         # Cross-backend invariant: bit-identical records everywhere.
-        assert pooled_records == serial_records, "process backend changed the records"
-        assert thread_records == serial_records, "thread backend changed the records"
-        assert async_records == serial_records, "async scheduler changed the records"
+        assert pooled_records == serial_records, "persistent pool changed the records"
         assert throwaway_records == serial_records, "throwaway pools changed the records"
 
         # 3. Batched multi-figure submission (the run_paper path) must
@@ -134,7 +128,7 @@ def test_parallel_scaling(benchmark):
         ]
         plan_seeds = [reuse_seeds[:2], reuse_seeds[:2], reuse_seeds[:1]]
         grids = [(plan.specs, seeds_) for plan, seeds_ in zip(plans, plan_seeds, strict=True)]
-        with ProcessBackend(workers=pool_workers) as backend:
+        with AsyncBackend(workers=pool_workers) as backend:
             runner = ParallelRunner(backend=backend)
             batched = runner.run_grids(grids)
             per_figure = [runner.run_grid(list(specs), seeds_) for specs, seeds_ in grids]

@@ -5,12 +5,13 @@ ASY001 (whole-program): nothing reachable from an ``async def`` in
 block the event loop — no ``time.sleep``, no direct
 ``multiprocessing.connection.wait``/``select`` calls, no unguarded
 ``Connection.recv()`` and no unbounded ``Process.join()``.  The
-AsyncScheduler's dispatch loop multiplexes every worker from a single
-coroutine; one blocking call there stalls retry timers, backpressure
-and heartbeats for the whole fleet, which shows up as flaky timeout
-tests rather than an obvious failure.  Reachability comes from the
-project call graph, so a blocking call hidden two helpers deep is
-still found.
+AsyncScheduler's dispatch loop is a plain thread that blocks only in
+its one bounded ``connection.wait`` tick; any event loop added to this
+layer must not block at all, because one blocking call there would
+stall retry timers, backpressure and heartbeats for the whole fleet,
+which shows up as flaky timeout tests rather than an obvious failure.
+Reachability comes from the project call graph, so a blocking call
+hidden two helpers deep is still found.
 
 ASY002 (per-file): every ``Pipe``/``Process``/executor resource
 acquired inside a function in those modules must be closed/joined on
@@ -71,9 +72,9 @@ class AsyncBlockingRule(ProjectRule):
     id = "ASY001"
     summary = "no blocking I/O, time.sleep or unbounded join reachable from async code in the scheduler layer"
     rationale = (
-        "AsyncScheduler multiplexes every worker from one coroutine; a "
-        "single blocking call in anything it awaits stalls retries, "
-        "backpressure and heartbeats fleet-wide. The contract is "
+        "An event loop in the scheduler layer multiplexes every worker "
+        "it serves; a single blocking call in anything it awaits stalls "
+        "retries, backpressure and heartbeats fleet-wide. The contract is "
         "checked transitively over the project call graph because the "
         "blocking call is never in the async def itself — it hides in a "
         "sync helper two frames down."

@@ -1,8 +1,8 @@
 """Contract rules: PKL001 (picklable work), ENV001 (env seams), API001 (figure registry).
 
 Each guards a cross-module seam whose breakage shows up far from the
-offending line: an unpicklable callable handed to a process backend
-fails only when the fork fallback is unavailable; a stray ``os.environ``
+offending line: an unpicklable callable handed to the worker pool
+fails with ``TypeError`` at submission, on every platform; a stray ``os.environ``
 read silently invalidates the README's env-var table; a ``FigurePlan``
 without a ``PLOT_SPECS`` entry renders the stored run unplottable.
 """
@@ -26,10 +26,10 @@ class PicklableSubmissionRule(Rule):
     summary = "no lambdas, nested functions or open handles through map/imap call sites"
     rationale = (
         "ExecutorBackend.map/imap cross a process boundary: lambdas and "
-        "closure-bound nested functions pickle only under the fork "
-        "start-method fallback, so they work on one machine and crash on "
-        "the next (the fork-fallback bug class from the parallel-runner "
-        "PR). Submit module-level functions and plain-data arguments."
+        "closure-bound nested functions cannot be pickled, so the worker "
+        "pool rejects them with TypeError on every platform, but only "
+        "once the call runs with workers > 1. Submit module-level "
+        "functions and plain-data arguments."
     )
     packages = ()
 

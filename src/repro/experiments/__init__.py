@@ -8,10 +8,10 @@
 * :mod:`repro.experiments.runner` — runs scenarios, replicates them over
   seeds and aggregates with confidence intervals;
 * :mod:`repro.experiments.backends` — pluggable executor backends
-  (:class:`SerialBackend`, the persistent shared :class:`ProcessBackend`
-  pool, :class:`ThreadBackend`, and :class:`AsyncBackend`, the asyncio
-  scheduler with backpressure, work stealing and retry over a pool of
-  worker processes — ``docs/distributed.md``);
+  (:class:`SerialBackend`, and :class:`AsyncBackend`, the one worker
+  pool: a scheduler with backpressure, work stealing and retry over
+  persistent local worker processes or remote TCP agents, shared per
+  worker count by default — ``docs/distributed.md``);
 * :mod:`repro.experiments.parallel` — :class:`ParallelRunner` fans
   replications and parameter sweeps out over a backend, returning
   picklable :class:`ScenarioRecord` summaries (bit-identical aggregates
@@ -44,7 +44,7 @@ turns a stored run directory into one PNG per figure — or, with
 
 Usage::
 
-    from repro.experiments import ProcessBackend, ProgressBars, figures, load_run, run_paper
+    from repro.experiments import AsyncBackend, ProgressBars, figures, load_run, run_paper
 
     # Everything below shares one persistent worker pool (the default):
     all_rows = run_paper(seeds="paper", out_dir="runs/paper")  # full run, persisted
@@ -60,7 +60,7 @@ Usage::
     # Figures take the same workers=/backend= knobs individually:
     rows = figures.figure9(workers=4)              # shared 4-worker pool
     rows = figures.figure9(workers=0)              # serial, no pool
-    with ProcessBackend(workers=8) as backend:     # private pool
+    with AsyncBackend(workers=8) as backend:       # private pool
         rows = figures.figure9(backend=backend)
 
 The executor invariant throughout: every run is fully determined by its
@@ -83,9 +83,7 @@ from repro.experiments.runner import average_metrics, confidence_interval, repli
 from repro.experiments.backends import (
     AsyncBackend,
     ExecutorBackend,
-    ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     close_shared_backends,
     make_backend,
     resolve_backend,
@@ -134,8 +132,6 @@ __all__ = [
     "replicate",
     "ExecutorBackend",
     "SerialBackend",
-    "ProcessBackend",
-    "ThreadBackend",
     "AsyncBackend",
     "make_backend",
     "resolve_backend",

@@ -16,21 +16,14 @@ execution strategy into a first-class object:
 * :class:`SerialBackend` — runs everything in the calling process, no
   pool at all.  Byte-for-byte the historical ``workers=1`` semantics
   that the reproducibility tests pin.
-* :class:`ProcessBackend` — a **persistent**, lazily-started process
-  pool.  The pool is created on first use and then reused across figure
-  calls (the same worker PIDs serve every call), amortising fork cost
-  over a whole paper run.  Closed via :meth:`~ExecutorBackend.close`,
-  ``with``-block exit, or the module's ``atexit`` hook.
-* :class:`ThreadBackend` — the same lifecycle on a thread pool.  The
-  simulator is pure Python, so threads serialise on the GIL and this
-  backend exists mainly to pin the API (and the bit-identity invariant)
-  for executors that share the caller's address space.
-* :class:`AsyncBackend` — an asyncio dispatcher over a pool of
+* :class:`AsyncBackend` — the one worker pool: a dispatch thread over
   persistent worker processes (:mod:`repro.experiments.scheduler`).
-  Cells are sharded across workers behind a bounded in-flight window
-  (backpressure against a slow consumer), stragglers are work-stolen
-  by idle workers, and crashed / raising / hung cells are retried with
-  capped exponential backoff before the batch fails loudly with
+  The pool starts lazily and is reused across figure calls (the same
+  worker PIDs serve every call).  Cells are sharded across workers
+  behind a bounded in-flight window (backpressure against a slow
+  consumer), stragglers are work-stolen by idle workers, and crashed /
+  raising / hung cells are retried with capped exponential backoff
+  before the batch fails loudly with
   :class:`~repro.experiments.scheduler.AsyncCellError`.  Same ordered
   ``map``/``imap`` contract, same bit-identical aggregates, for every
   worker count.  See ``docs/distributed.md`` for the architecture and
@@ -38,14 +31,14 @@ execution strategy into a first-class object:
 
 Module helpers:
 
-* :func:`shared_backend` — the per-process registry of shared
-  :class:`ProcessBackend` instances, keyed by worker count.  This is
-  what makes "one pool for the whole paper run" the default: every
-  figure call that asks for the same worker count gets the same pool.
+* :func:`shared_backend` — the per-process registry of shared local
+  :class:`AsyncBackend` pools, keyed by worker count.  This is what
+  makes "one pool for the whole paper run" the default: every figure
+  call that asks for the same worker count gets the same pool.
 * :func:`resolve_backend` — the single place that turns a
   ``workers=``/``backend=`` pair into a backend instance.  ``workers``
   of ``0`` or ``1`` mean :class:`SerialBackend`; anything else is a
-  shared :class:`ProcessBackend`.
+  shared local :class:`AsyncBackend`.
 * :func:`workers_from_env` — ``REPRO_WORKERS`` plumbing shared by the
   benchmark harness and the examples (``0`` means the serial backend).
 * :func:`async_workers_from_env` / :func:`async_retries_from_env` /
@@ -68,17 +61,12 @@ is a single drain of a single pool regardless of backend.
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import os
 import pickle
 import threading
-import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from repro.experiments.remote import parse_endpoint
 from repro.experiments.scheduler import AsyncCellError, AsyncScheduler
@@ -88,8 +76,6 @@ _T = TypeVar("_T")
 __all__ = [
     "ExecutorBackend",
     "SerialBackend",
-    "ProcessBackend",
-    "ThreadBackend",
     "AsyncBackend",
     "AsyncCellError",
     "BACKENDS",
@@ -207,8 +193,8 @@ class ExecutorBackend(ABC):
     #: Degree of parallelism this backend was configured for.
     workers: int = 1
     #: Monotonic count of items accepted through :meth:`map`/:meth:`imap`
-    #: over this backend's lifetime.  Internal recovery re-runs and
-    #: scheduler-level retries do **not** count: the number reflects the
+    #: over this backend's lifetime.  Scheduler-level retries and steals
+    #: do **not** count: the number reflects the
     #: caller-visible task load, which is what the resume tests use to
     #: prove that cached cells were loaded rather than re-simulated.
     tasks_submitted: int = 0
@@ -221,6 +207,7 @@ class ExecutorBackend(ABC):
     def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
         """Apply ``fn`` to every item and return the results in order."""
 
+    @abstractmethod
     def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
         """Yield ``fn(item)`` results **in item order** as they complete.
 
@@ -230,12 +217,7 @@ class ExecutorBackend(ABC):
         with a ``progress=`` callback).  The ordering contract is the
         same as :meth:`map`'s; only the delivery is incremental, so a
         caller can observe completion counts while the batch runs.
-
-        Backends without incremental delivery may materialise the whole
-        batch first — this default does exactly that — because
-        bit-identity of the final aggregates never depends on streaming.
         """
-        return iter(self.map(fn, items))
 
     def close(self) -> None:  # noqa: B027 - intentionally optional: poolless backends need no teardown
         """Release worker resources (idempotent; lazily restarts on reuse)."""
@@ -294,245 +276,21 @@ def _positive_workers(workers: Optional[int]) -> int:
     return workers
 
 
-#: Work inherited by forked workers when a payload cannot be pickled
-#: (e.g. a lambda builder).  Set immediately before the one-shot fork
-#: pool is created; children fork lazily on first submission and see it.
-#: _INHERITED_LOCK serialises concurrent fallback calls so one call's
-#: children cannot inherit another call's work.
-_INHERITED_WORK: Optional[Tuple[Callable[[Any], Any], Sequence[Any]]] = None
-_INHERITED_LOCK = threading.Lock()
-
-
-def _run_inherited(index: int) -> Any:
-    work = _INHERITED_WORK
-    assert work is not None, "_run_inherited called outside a fallback window"
-    fn, items = work
-    return fn(items[index])
-
-
-#: Every live ProcessBackend, so the atexit hook can close stray pools.
-_LIVE_PROCESS_BACKENDS: "weakref.WeakSet[ProcessBackend]" = weakref.WeakSet()
-
-
-def _close_live_process_backends() -> None:
-    for backend in list(_LIVE_PROCESS_BACKENDS):
-        backend.close()
-
-
-atexit.register(_close_live_process_backends)
-
-
-class _PooledBackend(ExecutorBackend):
-    """Shared lifecycle for pool-owning backends: lazy start, reuse, restart.
-
-    Subclasses provide :meth:`_make_pool`; everything else — the
-    worker-count validation, the lock-guarded lazy start, idempotent
-    :meth:`close` and lazy restart after it — lives here once, so
-    process, thread and future pooled backends cannot drift apart.
-    """
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = _positive_workers(workers)
-        #: The underlying executor; typed loosely because process and
-        #: thread pools share no useful ancestor beyond ``Executor``.
-        self._pool: Optional[Any] = None
-        self._lock = threading.Lock()
-
-    def _make_pool(self) -> Any:
-        raise NotImplementedError
-
-    @property
-    def is_running(self) -> bool:
-        return self._pool is not None
-
-    def _ensure_pool(self) -> Any:
-        with self._lock:
-            if self._pool is None:
-                self._pool = self._make_pool()
-            return self._pool
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
-        items = list(items)
-        self._record_submission(len(items))
-        if not items:
-            return []
-        return list(self._ensure_pool().map(fn, items))
-
-    def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
-        """Stream results in submission order as workers complete them."""
-        items = list(items)
-        self._record_submission(len(items))
-        if not items:
-            return iter(())
-        # Executor.map already yields lazily and in order.
-        return iter(self._ensure_pool().map(fn, items))
-
-
-class ProcessBackend(_PooledBackend):
-    """A persistent, lazily-started process pool reused across calls.
-
-    The pool is created on the first :meth:`map` and kept alive until
-    :meth:`close` (or interpreter exit — an ``atexit`` hook closes every
-    stray backend), so a sequence of figure calls shares one set of
-    worker processes instead of forking a fresh pool per figure.
-
-    Payloads normally travel by pickle, which is what allows the pool to
-    outlive any single call.  On platforms with the ``fork`` start
-    method, unpicklable payloads (lambda or closure builders) still
-    work: they fall back to a one-shot forked pool whose children
-    inherit the work instead of unpickling it — correct, but without
-    pool reuse (the persistent pool is quiesced first).  On spawn-only
-    platforms such payloads raise.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(workers)
-        _LIVE_PROCESS_BACKENDS.add(self)
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
-
-    def worker_pids(self) -> FrozenSet[int]:
-        """PIDs of the live pool processes (empty before first use / after close)."""
-        with self._lock:
-            if self._pool is None:
-                return frozenset()
-            return frozenset(self._pool._processes or ())
-
-    def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
-        items = list(items)
-        self._record_submission(len(items))
-        return self._map_batch(fn, items)
-
-    def _map_batch(self, fn: Callable[[Any], _T], items: List[Any]) -> List[_T]:
-        """The :meth:`map` body, minus submission accounting (shared with imap recovery)."""
-        if not items:
-            return []
-        # Pre-flight the whole payload: falling back *after* the pool
-        # has started executing part of it would re-run work, and the
-        # payload (specs + seeds) is microseconds to pickle next to the
-        # simulations it describes.
-        try:
-            pickle.dumps((fn, items))
-        except Exception:
-            return self._map_inherited(fn, items)
-        try:
-            return list(self._ensure_pool().map(fn, items))
-        except BrokenProcessPool:
-            # A dead worker (OOM kill, crash) breaks the executor for
-            # good; a persistent pool must not stay poisoned for every
-            # later figure call.  Tasks are pure and seed-determined,
-            # so discarding the broken pool and re-running the batch on
-            # a fresh one is safe.  If the fresh pool breaks too, reset
-            # again so the *next* call still starts clean, and raise.
-            self.close()
-            try:
-                return list(self._ensure_pool().map(fn, items))
-            except BrokenProcessPool:
-                self.close()
-                raise
-
-    def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
-        """Stream in order, with :meth:`map`'s recovery semantics.
-
-        Unpicklable payloads fall back to the one-shot forked pool
-        (delivered as one batch — fork children cannot stream).  A pool
-        broken mid-stream is discarded and the whole batch re-run via
-        :meth:`map`; tasks are pure and seed-determined, so the re-run
-        is bit-identical and only the not-yet-yielded tail is delivered.
-        """
-        items = list(items)
-        self._record_submission(len(items))
-
-        def generate() -> Iterator[_T]:
-            if not items:
-                return
-            try:
-                pickle.dumps((fn, items))
-            except Exception:
-                yield from self._map_inherited(fn, items)
-                return
-            yielded = 0
-            try:
-                # The for covers breakage at submission time (a worker
-                # died while the pool sat idle) and mid-stream alike.
-                for result in self._ensure_pool().map(fn, items):
-                    yield result
-                    yielded += 1
-            except BrokenProcessPool:
-                self.close()
-                yield from self._map_batch(fn, items)[yielded:]
-
-        return generate()
-
-    def _map_inherited(self, fn: Callable[[Any], _T], items: List[Any]) -> List[_T]:
-        """One-shot forked pool for unpicklable payloads (no pool reuse)."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise TypeError(
-                "the task payload is not picklable and this platform has no fork "
-                "start method; use a picklable builder such as ScenarioSpec"
-            )
-        # Forking while the persistent pool's manager/feeder threads are
-        # alive risks the classic fork-with-threads deadlock (a child
-        # inheriting a held queue lock).  Quiesce the pool first; it
-        # restarts lazily on the next picklable call.
-        self.close()
-        global _INHERITED_WORK
-        with _INHERITED_LOCK:
-            _INHERITED_WORK = (fn, items)
-            try:
-                context = multiprocessing.get_context("fork")
-                max_workers = min(self.workers, len(items))
-                with ProcessPoolExecutor(max_workers=max_workers, mp_context=context) as pool:
-                    return list(pool.map(_run_inherited, range(len(items))))
-            finally:
-                _INHERITED_WORK = None
-
-
-class ThreadBackend(_PooledBackend):
-    """A persistent thread pool with the same lifecycle as :class:`ProcessBackend`.
-
-    The simulator is pure Python, so threads serialise on the GIL and
-    this backend brings no speedup today.  It exists to pin the backend
-    API (lazy start, reuse, close/restart, ordered results,
-    bit-identical aggregates) for executors that share the caller's
-    address space — the template :class:`AsyncBackend`'s scheduler was
-    built against.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-backend",
-        )
-
-
 class AsyncBackend(ExecutorBackend):
-    """An asyncio dispatcher over a pool of persistent worker processes.
+    """A dispatch thread over a pool of persistent worker processes.
 
-    The distributed-execution backend from ROADMAP, implemented: one
-    dispatch coroutine (:class:`~repro.experiments.scheduler.AsyncScheduler`)
-    shards each batch across ``workers`` long-lived worker processes
-    behind a bounded in-flight ``window`` (backpressure against a slow
-    ``imap`` consumer), work-steals stragglers onto idle workers, and
-    retries crashed, raising or hung cells with capped exponential
-    backoff — respawning dead workers as it goes.  A cell that exhausts
+    The harness's one worker pool: a dispatcher
+    (:class:`~repro.experiments.scheduler.AsyncScheduler`) shards each
+    batch across ``workers`` long-lived worker processes behind a
+    bounded in-flight ``window`` (backpressure against a slow ``imap``
+    consumer), work-steals stragglers onto idle workers, and retries
+    crashed, raising or hung cells with capped exponential backoff —
+    respawning dead workers as it goes.  A cell that exhausts
     ``max_retries`` fails the whole batch with a
     :class:`~repro.experiments.scheduler.AsyncCellError` naming every
     failed cell, so a result grid can never contain a silent hole.
+    Local workers are daemon processes, so a pool that is never closed
+    still lets the interpreter exit.
 
     The :class:`ExecutorBackend` contract is fully preserved: results
     come back in item order (``imap`` streams them as the submission
@@ -551,9 +309,10 @@ class AsyncBackend(ExecutorBackend):
     and respawn semantics — and bit-identical aggregates — are
     transport-agnostic.  ``workers`` defaults to one per address and
     must match the address count when given (each agent serves exactly
-    one scheduler connection).  Payloads must be picklable (there is no
-    fork-inherit fallback like :class:`ProcessBackend`'s): unpicklable
-    payloads raise :class:`TypeError` up front.
+    one scheduler connection).  Payloads must be picklable (workers are
+    separate processes): unpicklable payloads such as lambda builders
+    raise :class:`TypeError` up front, naming :class:`ScenarioSpec` as
+    the picklable alternative.
 
     Constructor arguments left at ``None`` fall back to the env seams:
     ``endpoint`` to ``REPRO_ASYNC_ENDPOINT`` (default: local workers),
@@ -571,6 +330,9 @@ class AsyncBackend(ExecutorBackend):
 
     name = "async"
 
+    #: Whether an unset ``endpoint`` falls back to ``REPRO_ASYNC_ENDPOINT``.
+    _endpoint_from_env = True
+
     def __init__(
         self,
         endpoint: Optional[str] = None,
@@ -584,7 +346,7 @@ class AsyncBackend(ExecutorBackend):
         steal_after: float = 0.25,
         connect_timeout: float = 5.0,
     ) -> None:
-        if endpoint is None:
+        if endpoint is None and self._endpoint_from_env:
             endpoint = async_endpoint_from_env()
         self.endpoint = endpoint
         endpoints: Optional[List[Tuple[str, int]]] = None
@@ -662,7 +424,7 @@ def _serial_factory(workers: Optional[int] = None) -> SerialBackend:
     if workers is not None and int(workers) > 1:
         raise ValueError(
             f"the serial backend runs in-process; workers={workers} conflicts "
-            "(use the process or thread backend for parallelism)"
+            "(use the async backend for parallelism)"
         )
     return SerialBackend()
 
@@ -670,14 +432,12 @@ def _serial_factory(workers: Optional[int] = None) -> SerialBackend:
 #: Backend registry for CLI flags and configuration strings.
 BACKENDS: Dict[str, Callable[..., ExecutorBackend]] = {
     "serial": _serial_factory,
-    "process": ProcessBackend,
-    "thread": ThreadBackend,
     "async": AsyncBackend,
 }
 
 
 def make_backend(name: str, workers: Optional[int] = None) -> ExecutorBackend:
-    """Build a backend by registry name (``serial``/``process``/``thread``/``async``)."""
+    """Build a backend by registry name (``serial`` or ``async``)."""
     try:
         factory = BACKENDS[name]
     except KeyError:
@@ -687,25 +447,34 @@ def make_backend(name: str, workers: Optional[int] = None) -> ExecutorBackend:
 
 # -- the shared default pool -----------------------------------------------------------
 
-_SHARED_BACKENDS: Dict[int, ProcessBackend] = {}
+
+class _SharedBackend(AsyncBackend):
+    """A :func:`shared_backend` pool: local workers even when ``REPRO_ASYNC_ENDPOINT`` is set."""
+
+    _endpoint_from_env = False
+
+
+_SHARED_BACKENDS: Dict[int, AsyncBackend] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def shared_backend(workers: Optional[int] = None) -> ProcessBackend:
-    """The shared :class:`ProcessBackend` for the given worker count.
+def shared_backend(workers: Optional[int] = None) -> AsyncBackend:
+    """The shared local :class:`AsyncBackend` for the given worker count.
 
     Backends are cached per worker count for the life of the process, so
     every figure call asking for the same parallelism reuses one pool.
-    ``workers=None`` means ``os.cpu_count()``.  Shared backends must not
-    be closed by individual callers — :func:`close_shared_backends` (or
-    interpreter exit) tears them down; a closed shared backend restarts
-    lazily if used again.
+    ``workers=None`` means ``os.cpu_count()``.  The pool always runs
+    local worker processes; remote agents are opt-in through an explicit
+    ``AsyncBackend(endpoint=...)``.  Shared backends must not be closed
+    by individual callers — :func:`close_shared_backends` tears them
+    down (and interpreter exit reaps their daemon workers); a closed
+    shared backend restarts lazily if used again.
     """
     key = _positive_workers(workers)
     with _SHARED_LOCK:
         backend = _SHARED_BACKENDS.get(key)
         if backend is None:
-            backend = ProcessBackend(workers=key)
+            backend = _SharedBackend(workers=key)
             _SHARED_BACKENDS[key] = backend
         return backend
 
@@ -729,7 +498,7 @@ def resolve_backend(
     returned as-is.  Otherwise ``workers`` selects a backend: ``0`` or
     ``1`` mean :class:`SerialBackend` (the historical serial semantics;
     ``REPRO_WORKERS=0`` lands here), and ``None`` or ``N > 1`` mean the
-    :func:`shared_backend` process pool for that worker count.
+    :func:`shared_backend` local pool for that worker count.
     """
     if backend is not None:
         if workers is not None:

@@ -3,7 +3,7 @@
 The paper averages every linear-topology figure over twenty independent
 runs and every random-topology figure over ten; replicating those runs
 serially uses one core no matter the machine.  This module fans the
-replications out over a process pool while keeping every result
+replications out over a worker pool while keeping every result
 bit-identical to a serial run:
 
 * :class:`ScenarioRecord` — a picklable snapshot of a finished run
@@ -24,11 +24,11 @@ bit-identical to a serial run:
   ``workers=0`` or ``1`` select the in-process
   :class:`~repro.experiments.backends.SerialBackend` (today's exact
   serial semantics, no pool); ``workers=N`` (default
-  ``os.cpu_count()``) selects the **shared, persistent**
-  :class:`~repro.experiments.backends.ProcessBackend` for that worker
+  ``os.cpu_count()``) selects the **shared, persistent** local
+  :class:`~repro.experiments.backends.AsyncBackend` for that worker
   count, so consecutive figure calls reuse one pool instead of forking
-  a new one each; and ``backend=`` accepts any backend instance
-  (thread, or a future multi-machine backend) outright.  Because every
+  a new one each; and ``backend=`` accepts any backend instance (a
+  private pool, or one over remote TCP worker agents) outright.  Because every
   scenario is fully determined by its seed and results are collected in
   submission order, the aggregated output is bit-identical for every
   backend and worker count.  :meth:`ParallelRunner.run_grids` extends
@@ -47,12 +47,12 @@ bit-identical to a serial run:
 
 Pickling contract: a :class:`ScenarioRecord` (and therefore everything
 workers send back) must survive ``pickle.dumps`` — plain dataclasses,
-enums, numbers, strings and containers thereof only.  Builders should
+enums, numbers, strings and containers thereof only.  Builders must
 be picklable too (a :class:`ScenarioSpec` or a module-level function),
-which is what lets a persistent pool outlive any single call; on
-platforms with the ``fork`` start method (Linux), unpicklable builders
-— lambdas and closures included — still work via a one-shot forked pool
-whose children inherit the task list instead of unpickling it.
+which is what lets a persistent pool outlive any single call.  With
+``workers > 1`` an unpicklable builder — a lambda or a closure — is
+rejected with :class:`TypeError` before any cell runs, on every
+platform; ``workers=0``/``1`` run in-process and accept any callable.
 """
 
 from __future__ import annotations

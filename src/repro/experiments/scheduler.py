@@ -1,7 +1,7 @@
-"""The asyncio dispatcher behind :class:`~repro.experiments.backends.AsyncBackend`.
+"""The dispatcher behind :class:`~repro.experiments.backends.AsyncBackend`.
 
 This module is the scheduler half of the async backend: a pool of
-persistent workers driven by a single asyncio coroutine that shards a
+persistent workers driven by a single dispatch thread that shards a
 batch of tasks across them.  Workers are
 :class:`~repro.experiments.remote.WorkerTransport` instances — local
 child processes (one duplex pipe each) by default, or connections to
@@ -36,11 +36,11 @@ this module owns the scheduling policy:
   its retries fails the batch with :class:`AsyncCellError` naming
   every failed cell — never a silent hole in a result grid.
 
-The dispatch coroutine multiplexes every transport's wait handles
-(pipes and process death sentinels locally, sockets remotely) through
-:func:`multiprocessing.connection.wait` on a single-thread executor, so
-one coroutine observes completions, crashes and deadlines without a
-thread per worker.  Results are delivered to the consuming thread
+The dispatch thread multiplexes every transport's wait handles (pipes
+and process death sentinels locally, sockets remotely) through one
+blocking :func:`multiprocessing.connection.wait` per tick, so a single
+loop observes completions, crashes and deadlines without a thread per
+worker.  Results are delivered to the consuming thread
 through a queue, strictly in submission order.
 
 Determinism: scheduling (stealing, retries, worker death) never
@@ -51,16 +51,14 @@ count, timing, or how many attempts a cell needed.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import multiprocessing
 import pickle
 import queue
 import threading
+import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing.connection import wait as connection_wait
 from typing import (
     Any,
@@ -206,7 +204,6 @@ class AsyncScheduler:
         start_methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if "fork" in start_methods else "spawn")
         self._workers: List[WorkerTransport] = []
-        self._io: Optional[ThreadPoolExecutor] = None
         self._lifecycle_lock = threading.Lock()
         self._call_lock = threading.Lock()
         self._seq = 0
@@ -229,11 +226,8 @@ class AsyncScheduler:
     def close(self) -> None:
         with self._lifecycle_lock:
             workers, self._workers = self._workers, []
-            io, self._io = self._io, None
         for worker in workers:
             worker.terminate()
-        if io is not None:
-            io.shutdown(wait=False)
 
     def _spawn_worker(self, slot: int) -> WorkerTransport:
         if self.endpoints:
@@ -241,13 +235,10 @@ class AsyncScheduler:
             return TcpTransport(host, port, self.connect_timeout)
         return LocalProcessTransport(self._ctx)
 
-    def _ensure_started(self) -> ThreadPoolExecutor:
+    def _ensure_started(self) -> None:
         with self._lifecycle_lock:
             while len(self._workers) < self.workers:
                 self._workers.append(self._spawn_worker(len(self._workers)))
-            if self._io is None:
-                self._io = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-async-io")
-            return self._io
 
     # -- batch entry point ------------------------------------------------------------
 
@@ -264,7 +255,7 @@ class AsyncScheduler:
     def _run_call(self, call: _Call, fn: Callable[[Any], Any], items: List[Any]) -> None:
         with self._call_lock:
             try:
-                asyncio.run(self._dispatch(call, fn, items))
+                self._dispatch(call, fn, items)
             except BaseException as exc:  # noqa: B036 - relayed to the consuming thread
                 call.queue.put(("error", exc))
             else:
@@ -272,9 +263,8 @@ class AsyncScheduler:
 
     # -- the dispatcher ---------------------------------------------------------------
 
-    async def _dispatch(self, call: _Call, fn: Callable[[Any], Any], items: List[Any]) -> None:
-        loop = asyncio.get_running_loop()
-        io = self._ensure_started()
+    def _dispatch(self, call: _Call, fn: Callable[[Any], Any], items: List[Any]) -> None:
+        self._ensure_started()
         # A previous batch that ended early (fail-fast, or an imap
         # consumer that abandoned the stream) can leave workers still
         # chewing on its tasks; their eventual replies must not be
@@ -330,7 +320,7 @@ class AsyncScheduler:
                     self.retry_max_delay,
                     self.retry_base_delay * (2 ** (attempts[index] - 1)),
                 )
-                heapq.heappush(retry_heap, (loop.time() + delay, index))
+                heapq.heappush(retry_heap, (time.monotonic() + delay, index))
                 self.stats["retries"] += 1
 
         def end_assignment(worker: WorkerTransport) -> Optional[int]:
@@ -421,17 +411,15 @@ class AsyncScheduler:
                     self.stats["steals"] += 1
 
         while len(resolved) < total and not failures and not call.aborted:
-            now = loop.time()
+            now = time.monotonic()
             while retry_heap and retry_heap[0][0] <= now:
                 ready.append(heapq.heappop(retry_heap)[1])
             dispatch_to_idle(now)
             wait_objects: List[Any] = []
             for w in self._workers:
                 wait_objects.extend(w.wait_handles())
-            await loop.run_in_executor(
-                io, partial(connection_wait, wait_objects, _TICK_SECONDS)
-            )
-            now = loop.time()
+            connection_wait(wait_objects, _TICK_SECONDS)
+            now = time.monotonic()
             for worker in list(self._workers):
                 drain(worker)
             for worker in list(self._workers):

@@ -1,6 +1,5 @@
 """Executor backends: lifecycle, pool reuse, env plumbing, bit-identity."""
 
-import multiprocessing
 import os
 import pickle
 import subprocess
@@ -14,10 +13,9 @@ from hypothesis import strategies as st
 
 from repro.experiments.backends import (
     AsyncBackend,
+    AsyncCellError,
     ExecutorBackend,
-    ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     async_endpoint_from_env,
     async_retries_from_env,
     async_timeout_from_env,
@@ -96,43 +94,32 @@ class TestSerialBackend:
 
 class TestImapOrdering:
     def test_pooled_backends_stream_in_item_order(self):
-        with ProcessBackend(workers=2) as process, ThreadBackend(workers=2) as thread:
-            for backend in (SerialBackend(), process, thread):
+        with AsyncBackend(workers=2) as pool:
+            for backend in (SerialBackend(), pool):
                 assert list(backend.imap(_square, range(6))) == [v * v for v in range(6)]
                 assert list(backend.imap(_square, [])) == []
-        with AsyncBackend(workers=2) as scheduler:
-            assert list(scheduler.imap(_square, range(6))) == [v * v for v in range(6)]
-            assert list(scheduler.imap(_square, [])) == []
 
     def test_imap_matches_map(self):
-        with ProcessBackend(workers=2) as backend:
+        with AsyncBackend(workers=2) as backend:
             assert list(backend.imap(_square, range(5))) == backend.map(_square, range(5))
-
-    def test_process_imap_falls_back_for_unpicklable_payloads(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires the fork start method")
-        with ProcessBackend(workers=2) as backend:
-            doubler = lambda value: value * 2
-            assert list(backend.imap(doubler, [1, 2, 3])) == [2, 4, 6]
 
     def test_process_imap_recovers_from_a_pool_broken_between_batches(self):
         import signal
 
-        with ProcessBackend(workers=2) as backend:
+        with AsyncBackend(workers=2) as backend:
             assert backend.map(_square, [1]) == [1]
             # A worker dies while the pool sits idle (the OOM-kill
-            # scenario).  Depending on timing the next submission
-            # raises BrokenProcessPool at submit or mid-stream; the
-            # streaming path must recover on a fresh pool either way
-            # and deliver the full, ordered batch.
+            # scenario).  The next streaming batch must respawn it and
+            # deliver the full, ordered batch.
             os.kill(next(iter(backend.worker_pids())), signal.SIGKILL)
             assert list(backend.imap(_square, range(4))) == [0, 1, 4, 9]
             # The backend stays healthy for later batched calls too.
             assert backend.map(_square, [5]) == [25]
 
+
 class TestProcessBackendLifecycle:
     def test_pool_starts_lazily_and_is_reused(self):
-        with ProcessBackend(workers=2) as backend:
+        with AsyncBackend(workers=2) as backend:
             assert not backend.is_running
             first = set(backend.map(_pid, range(8)))
             assert backend.is_running
@@ -147,7 +134,7 @@ class TestProcessBackendLifecycle:
     def test_pool_reused_across_two_figure_calls(self):
         from repro.experiments import figures
 
-        with ProcessBackend(workers=2) as backend:
+        with AsyncBackend(workers=2) as backend:
             figures.figure3(backend=backend, **TINY_FIGURE)
             pids = backend.worker_pids()
             assert pids, "the first figure call must have started the pool"
@@ -161,7 +148,7 @@ class TestProcessBackendLifecycle:
             assert backend.worker_pids() == pids, "second figure call must reuse the pool"
 
     def test_context_manager_shuts_the_pool_down(self):
-        backend = ProcessBackend(workers=2)
+        backend = AsyncBackend(workers=2)
         with backend:
             backend.map(_square, [1, 2])
             assert backend.is_running
@@ -169,7 +156,7 @@ class TestProcessBackendLifecycle:
         assert backend.worker_pids() == frozenset()
 
     def test_close_is_idempotent_and_reuse_restarts_lazily(self):
-        backend = ProcessBackend(workers=2)
+        backend = AsyncBackend(workers=2)
         backend.map(_square, [1, 2])
         backend.close()
         backend.close()
@@ -180,7 +167,7 @@ class TestProcessBackendLifecycle:
 
     def test_atexit_cleanup_lets_the_interpreter_exit(self):
         # A child interpreter that uses a shared pool but never closes it
-        # must still exit promptly: the atexit hook closes stray pools.
+        # must still exit promptly: its workers are daemon processes.
         code = (
             "from repro.experiments.backends import shared_backend\n"
             "from tests.test_backends import _square\n"
@@ -202,59 +189,34 @@ class TestProcessBackendLifecycle:
         )
         assert completed.returncode == 0, completed.stderr
 
+    def test_import_leaves_asyncio_and_executors_unloaded(self):
+        # The pool is a plain dispatch thread: importing the harness must
+        # not pay for asyncio or concurrent.futures.
+        code = (
+            "import sys\n"
+            "import repro.experiments\n"
+            "loaded = sorted(m for m in ('asyncio', 'concurrent.futures') if m in sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=REPO_ROOT,
+            env=env,
+            timeout=60,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
+
     def test_broken_pool_self_heals(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessBackend(workers=2) as backend:
-            with pytest.raises(BrokenProcessPool):
+        with AsyncBackend(workers=2) as backend:
+            # Every attempt kills its worker: the batch fails loudly...
+            with pytest.raises(AsyncCellError):
                 backend.map(_kill_worker, range(2))
-            # The broken executor must have been discarded, not cached...
-            assert not backend.is_running
-            # ...so the next call starts a fresh pool and succeeds.
+            # ...and the respawned pool serves the next call.
             assert backend.map(_square, [2, 3]) == [4, 9]
-
-    def test_fallback_quiesces_the_persistent_pool(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires the fork start method")
-        with ProcessBackend(workers=2) as backend:
-            backend.map(_square, [1, 2])
-            assert backend.is_running
-            # Unpicklable work forks a one-shot pool; the persistent
-            # pool is shut down first (fork-with-threads hazard)...
-            assert backend.map(lambda value: value + 1, [1, 2]) == [2, 3]
-            assert not backend.is_running
-            # ...and restarts lazily for picklable work.
-            assert backend.map(_square, [4, 5]) == [16, 25]
-            assert backend.is_running
-
-    def test_unpicklable_builder_falls_back_on_fork_platforms(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires the fork start method")
-        builder = lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed)
-        with ProcessBackend(workers=2) as backend:
-            records = ParallelRunner(backend=backend).replicate(builder, [1, 2])
-            # The fallback uses a one-shot forked pool: correct results,
-            # but no persistent pool is started for unpicklable work.
-            assert [record.seed for record in records] == [1, 2]
-            assert not backend.is_running
-        serial = ParallelRunner(workers=1).replicate(builder, [1, 2])
-        assert records == serial
-
-
-class TestThreadBackend:
-    def test_lifecycle_matches_process_backend(self):
-        backend = ThreadBackend(workers=2)
-        assert not backend.is_running
-        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert backend.is_running
-        backend.close()
-        assert not backend.is_running
-        assert backend.map(_square, [5]) == [25]
-        backend.close()
-
-    def test_threads_share_the_calling_process(self):
-        with ThreadBackend(workers=2) as backend:
-            assert set(backend.map(_pid, range(4))) == {os.getpid()}
 
 
 class TestAsyncBackend:
@@ -297,6 +259,11 @@ class TestAsyncBackend:
             with pytest.raises(TypeError, match="picklable"):
                 backend.map(lambda value: value, [1])
         assert not backend.is_running
+        # The default pool behind workers=N rejects a lambda builder the
+        # same way, naming the picklable alternative.
+        builder = lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed)
+        with pytest.raises(TypeError, match="ScenarioSpec"):
+            ParallelRunner(workers=2).replicate(builder, [1, 2])
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -312,25 +279,16 @@ class TestCrossBackendBitIdentity:
         specs = [ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size)) for size in (3, 4)]
         seeds = [1, 2, 3]
         serial = ParallelRunner(backend=SerialBackend()).run_grid(specs, seeds)
-        with ProcessBackend(workers=2) as backend:
-            process = ParallelRunner(backend=backend).run_grid(specs, seeds)
-        with ThreadBackend(workers=2) as backend:
-            thread = ParallelRunner(backend=backend).run_grid(specs, seeds)
+        pooled = ParallelRunner(workers=2).run_grid(specs, seeds)
         with AsyncBackend(workers=2) as backend:
             scheduled = ParallelRunner(backend=backend).run_grid(specs, seeds)
-        assert process == serial
-        assert thread == serial
+        assert pooled == serial
         assert scheduled == serial
 
 
 class TestTasksSubmitted:
     def test_counts_caller_visible_items_per_backend(self):
-        backends = [
-            SerialBackend(),
-            ProcessBackend(workers=2),
-            ThreadBackend(workers=2),
-            AsyncBackend(workers=2),
-        ]
+        backends = [SerialBackend(), AsyncBackend(workers=2)]
         for backend in backends:
             with backend:
                 assert backend.tasks_submitted == 0
@@ -371,6 +329,23 @@ class TestResolveBackend:
         assert a is b
         assert a is not c
         assert resolve_backend(workers=2) is a
+        assert isinstance(a, AsyncBackend)
+        assert a.workers == 2
+
+    def test_workers_n_stays_local_when_an_endpoint_is_set(self, monkeypatch):
+        # REPRO_ASYNC_ENDPOINT configures explicit AsyncBackend() builds
+        # only; the default pool behind workers=N always runs locally.
+        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "tcp://127.0.0.1:9,127.0.0.1:10,127.0.0.1:11")
+        close_shared_backends()
+        try:
+            backend = resolve_backend(workers=2)
+            assert backend is shared_backend(2)
+            assert backend.endpoint is None
+            assert backend.workers == 2
+            assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert os.getpid() not in backend.worker_pids()
+        finally:
+            close_shared_backends()
 
     def test_close_shared_backends_forgets_the_cache(self):
         before = shared_backend(2)
@@ -383,9 +358,10 @@ class TestResolveBackend:
 class TestMakeBackend:
     def test_registry_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("process", workers=2), ProcessBackend)
-        assert isinstance(make_backend("thread", workers=2), ThreadBackend)
-        assert isinstance(make_backend("async"), AsyncBackend)
+        assert isinstance(make_backend("async", workers=2), AsyncBackend)
+        for removed in ("process", "thread"):
+            with pytest.raises(ValueError):
+                make_backend(removed, workers=2)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from typing import ClassVar, List, Tuple
 
 import pytest
 
-from repro.experiments.backends import ProcessBackend, SerialBackend
+from repro.experiments.backends import AsyncBackend, SerialBackend
 from repro.experiments.parallel import (
     ParallelRunner,
     ScenarioRecord,
@@ -72,7 +72,7 @@ class TestParallelRunner:
         second = ParallelRunner()
         if (os.cpu_count() or 1) > 1:
             # Consecutive figure calls share one persistent pool.
-            assert isinstance(first.backend, ProcessBackend)
+            assert isinstance(first.backend, AsyncBackend)
             assert first.backend is second.backend
         else:
             # One-core machines keep the historical serial execution.
@@ -95,16 +95,6 @@ class TestParallelRunner:
         for attribute in ("energy_per_bit_microjoules", "goodput_kbps", "delivered_fraction"):
             assert summarize(parallel, attribute) == summarize(serial, attribute)
 
-    def test_lambda_builder_fans_out_on_fork_platforms(self):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("requires the fork start method")
-        builder = lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed)
-        records = ParallelRunner(workers=2).replicate(builder, [1, 2])
-        assert [r.seed for r in records] == [1, 2]
-        assert records == ParallelRunner(workers=1).replicate(builder, [1, 2])
-
     def test_run_grid_aligns_records_with_specs(self):
         specs = [
             ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size))
@@ -124,12 +114,10 @@ class TestRunGrids:
     def test_batched_submission_matches_per_grid_bit_identically(self):
         # Uneven grids (different spec counts *and* seed counts) so the
         # round-robin interleave and the demux are both exercised —
-        # serial, shared process pool and thread pool must all agree.
-        from repro.experiments.backends import ThreadBackend
-
+        # serial, the shared pool and a private pool must all agree.
         runners = [ParallelRunner(workers=1), ParallelRunner(workers=2)]
-        with ThreadBackend(workers=2) as thread_backend:
-            runners.append(ParallelRunner(backend=thread_backend))
+        with AsyncBackend(workers=2) as private_backend:
+            runners.append(ParallelRunner(backend=private_backend))
             reference = None
             for runner in runners:
                 batched = runner.run_grids([(self.GRID_A, [1, 2]), (self.GRID_B, [3])])
@@ -176,14 +164,12 @@ class TestProgress:
         assert noisy == silent
 
     def test_progress_streams_on_every_backend(self):
-        from repro.experiments.backends import ThreadBackend
-
         reference = None
-        with ThreadBackend(workers=2) as thread_backend:
+        with AsyncBackend(workers=2) as private_backend:
             for runner in (
                 ParallelRunner(workers=1),
                 ParallelRunner(workers=2),
-                ParallelRunner(backend=thread_backend),
+                ParallelRunner(backend=private_backend),
             ):
                 events = []
                 batched = runner.run_grids(

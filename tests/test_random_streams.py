@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.backends import ProcessBackend
+from repro.experiments.backends import AsyncBackend
 from repro.sim.random import RandomStreams
 
 
@@ -63,7 +63,7 @@ def test_same_seed_gives_identical_draws_across_processes(seed):
     # (seed, name), never from per-process state like hash randomisation
     # or the PID, so worker processes replay the exact parent draws.
     local = _draws(seed)
-    with ProcessBackend(workers=2) as backend:
+    with AsyncBackend(workers=2) as backend:
         remote_a, remote_b = backend.map(_draws, [seed, seed])
     assert remote_a == local
     assert remote_b == local
