@@ -8,9 +8,11 @@ from repro.experiments.report import format_table
 
 def test_figure10_random_topologies(benchmark):
     rows = run_once(
-        benchmark, figures.figure10,
-        net_sizes=(10, 15), protocols=("jtp", "atp", "tcp"), seeds=bench_seeds("random"),
-        num_flows=5, transfer_bytes=80_000, duration=900, workers=bench_workers(),
+        benchmark,
+        figures.figure10_plan(
+            net_sizes=(10, 15), protocols=("jtp", "atp", "tcp"), num_flows=5, transfer_bytes=80_000, duration=900,
+        ),
+        bench_seeds("random"), workers=bench_workers(),
     )
     print()
     print(format_table(

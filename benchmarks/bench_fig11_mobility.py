@@ -13,10 +13,12 @@ from repro.experiments.report import format_table
 
 def test_figure11_mobility(benchmark):
     rows = run_once(
-        benchmark, figures.figure11,
-        speeds=(0.1, 1.0, 5.0), protocols=("jtp", "tcp"), seeds=bench_seeds("random"),
-        num_nodes=15, num_flows=4, transfer_bytes=60_000, duration=900,
-        workers=bench_workers(),
+        benchmark,
+        figures.figure11_plan(
+            speeds=(0.1, 1.0, 5.0), protocols=("jtp", "tcp"),
+            num_nodes=15, num_flows=4, transfer_bytes=60_000, duration=900,
+        ),
+        bench_seeds("random"), workers=bench_workers(),
     )
     print()
     print(format_table(

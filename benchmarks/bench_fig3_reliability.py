@@ -13,9 +13,11 @@ from repro.experiments.report import format_series, format_table
 
 def test_figure3_energy_and_delivery(benchmark):
     rows = run_once(
-        benchmark, figures.figure3,
-        net_sizes=(3, 5, 7), tolerances=(0.0, 0.10, 0.20), seeds=bench_seeds(),
-        transfer_bytes=100_000, duration=800, workers=bench_workers(),
+        benchmark,
+        figures.figure3_plan(
+            net_sizes=(3, 5, 7), tolerances=(0.0, 0.10, 0.20), transfer_bytes=100_000, duration=800,
+        ),
+        bench_seeds(), workers=bench_workers(),
     )
     print()
     print(format_table(

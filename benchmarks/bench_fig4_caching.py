@@ -12,9 +12,9 @@ from repro.experiments.report import format_table
 
 def test_figure4_energy_per_bit(benchmark):
     rows = run_once(
-        benchmark, figures.figure4,
-        net_sizes=(3, 5, 7, 9), seeds=bench_seeds(), transfer_bytes=80_000, duration=1000,
-        workers=bench_workers(),
+        benchmark,
+        figures.figure4_plan(net_sizes=(3, 5, 7, 9), transfer_bytes=80_000, duration=1000),
+        bench_seeds(), workers=bench_workers(),
     )
     print()
     print(format_table(
@@ -32,9 +32,9 @@ def test_figure4_energy_per_bit(benchmark):
 
 def test_figure4b_per_node_energy(benchmark):
     rows = run_once(
-        benchmark, figures.figure4b,
-        num_nodes=7, seeds=bench_seeds(), transfer_bytes=80_000, duration=1000,
-        workers=bench_workers(),
+        benchmark,
+        figures.figure4b_plan(num_nodes=7, transfer_bytes=80_000, duration=1000),
+        bench_seeds(), workers=bench_workers(),
     )
     print()
     print(format_table(rows, title="Figure 4(b): per-node energy on a 7-node chain"))

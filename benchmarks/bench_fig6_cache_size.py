@@ -13,9 +13,11 @@ from repro.experiments.report import format_table
 
 def test_figure6_cache_size(benchmark):
     rows = run_once(
-        benchmark, figures.figure6,
-        cache_sizes=(2, 5, 10, 30, 100), net_sizes=(5, 8),
-        transfer_bytes=100_000, duration=900, seeds=bench_seeds(), workers=bench_workers(),
+        benchmark,
+        figures.figure6_plan(
+            cache_sizes=(2, 5, 10, 30, 100), net_sizes=(5, 8), transfer_bytes=100_000, duration=900,
+        ),
+        bench_seeds(), workers=bench_workers(),
     )
     print()
     print(format_table(rows, title="Figure 6: source retransmissions vs cache size"))

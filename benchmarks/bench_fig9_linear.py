@@ -12,9 +12,11 @@ from repro.experiments.report import format_table
 
 def test_figure9_linear_comparison(benchmark):
     rows = run_once(
-        benchmark, figures.figure9,
-        net_sizes=(3, 5, 7), protocols=("jtp", "atp", "tcp"), seeds=bench_seeds(),
-        transfer_bytes=250_000, duration=1000, workers=bench_workers(),
+        benchmark,
+        figures.figure9_plan(
+            net_sizes=(3, 5, 7), protocols=("jtp", "atp", "tcp"), transfer_bytes=250_000, duration=1000,
+        ),
+        bench_seeds(), workers=bench_workers(),
     )
     print()
     print(format_table(

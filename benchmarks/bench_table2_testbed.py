@@ -13,9 +13,9 @@ from repro.experiments.report import format_table
 
 def test_table2_testbed(benchmark):
     rows = run_once(
-        benchmark, figures.table2,
-        protocols=("jtp", "atp", "tcp"), duration=1200, seeds=bench_seeds("random"), num_nodes=14,
-        workers=bench_workers(),
+        benchmark,
+        figures.table2_plan(protocols=("jtp", "atp", "tcp"), duration=1200, num_nodes=14),
+        bench_seeds("random"), workers=bench_workers(),
     )
     print()
     print(format_table(rows, title="Table 2: testbed-like comparison (stable links)"))

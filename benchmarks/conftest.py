@@ -18,8 +18,8 @@ repository root; the benchmarks are additive.  Environment knobs:
 
 ``REPRO_WORKERS``
     Executor parallelism for the metric-only figure drivers.  Unset
-    means the shared persistent process pool with one worker per core;
-    ``0`` (or ``1``) means the serial backend — no pool at all.
+    means the shared persistent ``AsyncBackend`` pool with one worker
+    per core; ``0`` (or ``1``) means the serial backend — no pool at all.
 ``REPRO_SEEDS``
     Replication count per figure cell, overriding the smoke preset.
     Expanded deterministically via
@@ -54,10 +54,11 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 from repro.experiments.backends import workers_from_env
-from repro.experiments.presets import preset_seeds
+from repro.experiments.figures import FigurePlan
+from repro.experiments.presets import figure_job, preset_seeds
 from repro.experiments.results import save_rows
 from repro.sim.profile import profile_from_env, profiled
 
@@ -66,7 +67,7 @@ def bench_workers() -> Optional[int]:
     """Worker count for the parallel figure drivers (``REPRO_WORKERS``).
 
     Unset means ``None`` — the figures then use the shared persistent
-    process pool with one worker per core.  ``0`` and ``1`` both select
+    ``AsyncBackend`` pool with one worker per core.  ``0`` and ``1`` both select
     the serial backend; the rows are bit-identical either way, only the
     wall-clock changes.
     """
@@ -155,25 +156,31 @@ def events_per_sec_report(name: str, events: int, seconds: float) -> float:
     return rate
 
 
-def run_once(benchmark, experiment: Callable, *args, **kwargs):
+def run_once(benchmark, experiment: Union[FigurePlan, Callable], *args, **kwargs):
     """Run ``experiment`` exactly once under pytest-benchmark timing.
 
-    The experiments are full simulations taking hundreds of milliseconds
-    to a few seconds each; a single round keeps the whole harness fast
-    while still recording the wall-clock cost of regenerating the figure.
+    ``experiment`` is a :class:`FigurePlan` (run as ``plan.run(*args,
+    **kwargs)`` and named after the plan) or any function (named after
+    itself).  The experiments are full simulations taking hundreds of
+    milliseconds to a few seconds each; a single round keeps the whole
+    harness fast while still recording the wall-clock cost of
+    regenerating the figure.
 
     With ``REPRO_RUN_DIR`` set, a row-list result (every metric figure
-    and ``*_rows`` trace adapter) is also persisted into that run
-    directory under the experiment's name; series-shaped results are
-    left to the driver to rowify first.  With ``REPRO_PLOTS_DIR`` set,
-    row lists whose experiment has a registered PlotSpec are rendered
-    to ``<figure>.png`` there as well.  With ``REPRO_PROFILE`` set, the
+    and ``figure7``) is also persisted into that run directory under
+    the experiment's name; series-shaped results are left to the driver
+    to rowify first.  With ``REPRO_PLOTS_DIR`` set, row lists whose
+    experiment is a registered figure are rendered with its PlotSpec to
+    ``<figure>.png`` there as well.  With ``REPRO_PROFILE`` set, the
     simulation-core profiler runs for the experiment and every driver
     prints the same events/sec line via :func:`events_per_sec_report`
     (in-process simulations only — use ``REPRO_WORKERS=0`` for full
     attribution).
     """
-    name = getattr(experiment, "__name__", "experiment")
+    if isinstance(experiment, FigurePlan):
+        name, experiment = experiment.name, experiment.run
+    else:
+        name = getattr(experiment, "__name__", "experiment")
     if profile_from_env():
         with profiled() as profiler:
             result = benchmark.pedantic(experiment, args=args, kwargs=kwargs, rounds=1, iterations=1)
@@ -186,15 +193,14 @@ def run_once(benchmark, experiment: Callable, *args, **kwargs):
         save_rows(run_dir, name, result)
     plots_dir = bench_plots_dir()
     if plots_dir is not None and _looks_like_rows(result):
-        from repro.experiments.figures import PLOT_SPECS
         from repro.plots import render_figure
 
-        # Trace drivers persist under their adapter name (figure5_rows);
-        # the plot spec registry keys on the bare figure name.
-        figure_name = name[:-5] if name.endswith("_rows") else name
-        spec = PLOT_SPECS.get(figure_name)
-        if spec is not None:
-            render_figure(result, spec, plots_dir / f"{figure_name}.png")
+        try:
+            spec = figure_job(name).plot
+        except ValueError:
+            pass  # not a registered figure, e.g. an ablation
+        else:
+            render_figure(result, spec, plots_dir / f"{name}.png")
     return result
 
 

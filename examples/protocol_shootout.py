@@ -30,7 +30,7 @@ Run with::
 import argparse
 
 from repro.experiments.backends import BACKENDS, make_backend, resolve_backend
-from repro.experiments.figures import figure9
+from repro.experiments.figures import figure9_plan
 from repro.experiments.presets import PAPER_LINEAR, SMOKE_LINEAR, preset_seeds
 from repro.experiments.report import format_table
 from repro.experiments.results import git_metadata, save_run
@@ -68,14 +68,13 @@ def main() -> None:
     else:
         backend = resolve_backend(workers=args.workers)
 
-    rows = figure9(
+    plan = figure9_plan(
         net_sizes=(3, 5, 7),
         protocols=("jtp", "atp", "tcp"),
-        seeds=seeds,
         transfer_bytes=200_000,
         duration=1000.0,
-        backend=backend,
     )
+    rows = plan.run(seeds, backend=backend)
     if args.out:
         run_dir = save_run(
             {"figure9": rows},

@@ -17,18 +17,21 @@
   picklable :class:`ScenarioRecord` summaries (bit-identical aggregates
   for any backend and worker count);
 * :mod:`repro.experiments.presets` — paper-scale seed presets
-  (``PAPER_LINEAR=20``, ``PAPER_RANDOM=10``, smoke presets for CI) and
-  the :func:`run_paper` full-paper driver: metric figures batched into
-  one interleaved pool submission, trace figures (3c, 5, 7, 8) run
+  (``PAPER_LINEAR=20``, ``PAPER_RANDOM=10``, smoke presets for CI),
+  :func:`figure_job` (a figure or workload's registry entry by name)
+  and the :func:`run_paper` full-paper driver: metric figures batched
+  into one interleaved pool submission, trace figures (3c, 5, 7, 8) run
   serially behind the same row interface;
-* :mod:`repro.experiments.figures` — one function per figure/table
-  (``figure3`` … ``figure11``, ``table2``) returning structured rows,
-  each metric figure also exposing its ``figureN_plan()`` grid for
-  batching and each trace figure a ``figureN_rows()`` adapter;
+* :mod:`repro.experiments.figures` — the figure registry
+  :data:`ALL_FIGURES`: one :class:`~repro.experiments.figures.FigureJob`
+  per figure/table, in paper order, holding its builder (a
+  ``figureN_plan()`` grid for metric figures, a rows function for trace
+  figures), smoke parameters, description and plot spec;
 * :mod:`repro.experiments.workloads` — the fault-injection resilience
   workload families (``churn``, ``partition_heal``, ``flapping_links``,
-  ``blackout``), metric jobs pairing the figure grids with
-  :class:`~repro.sim.faults.FaultPlan` schedules (``docs/faults.md``);
+  ``blackout``), registered in :data:`WORKLOAD_JOBS` as metric jobs
+  pairing the figure grids with :class:`~repro.sim.faults.FaultPlan`
+  schedules (``docs/faults.md``);
 * :mod:`repro.experiments.results` — the on-disk results store: run
   directories with per-figure JSON/CSV rows plus a manifest recording
   seeds, preset, backend and git provenance;
@@ -37,8 +40,8 @@
   ``--list-figures`` prints the figure index).
 
 Image rendering lives in the sibling :mod:`repro.plots` package: every
-figure carries a declarative :class:`~repro.plots.spec.PlotSpec`
-(``figures.PLOT_SPECS``), and ``python -m repro.plots <run_dir>``
+registry entry carries a declarative :class:`~repro.plots.spec.PlotSpec`
+(``FigureJob.plot``), and ``python -m repro.plots <run_dir>``
 turns a stored run directory into one PNG per figure — or, with
 ``--compare``, into overlay/delta regression plots of two runs.
 
@@ -57,11 +60,12 @@ Usage::
     # works):
     run_paper(seeds="paper", progress=ProgressBars())
 
-    # Figures take the same workers=/backend= knobs individually:
-    rows = figures.figure9(workers=4)              # shared 4-worker pool
-    rows = figures.figure9(workers=0)              # serial, no pool
+    # One figure on its own: build its plan, run it on any backend:
+    plan = figures.figure9_plan(net_sizes=(3, 5))
+    rows = plan.run(seeds=(1, 2), workers=4)       # shared 4-worker pool
+    rows = plan.run(seeds=(1, 2), workers=0)       # serial, no pool
     with AsyncBackend(workers=8) as backend:       # private pool
-        rows = figures.figure9(backend=backend)
+        rows = plan.run(seeds=(1, 2), backend=backend)
 
 The executor invariant throughout: every run is fully determined by its
 seed and records return in submission order, so aggregates are
@@ -96,15 +100,14 @@ from repro.experiments.parallel import (
     ScenarioSpec,
     spawn_seeds,
 )
+from repro.experiments.figures import ALL_FIGURES, METRIC_FIGURES, TRACE_FIGURES
+from repro.experiments.workloads import WORKLOAD_JOBS
 from repro.experiments.presets import (
-    ALL_FIGURES,
-    METRIC_FIGURES,
     PAPER_LINEAR,
     PAPER_RANDOM,
     SMOKE_LINEAR,
     SMOKE_RANDOM,
-    TRACE_FIGURES,
-    WORKLOAD_JOBS,
+    figure_job,
     preset_seeds,
     run_paper,
     workload_index,
@@ -150,6 +153,7 @@ __all__ = [
     "SMOKE_LINEAR",
     "SMOKE_RANDOM",
     "WORKLOAD_JOBS",
+    "figure_job",
     "preset_seeds",
     "run_paper",
     "workload_index",

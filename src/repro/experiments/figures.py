@@ -1,72 +1,50 @@
-"""One experiment definition per figure and table of the paper.
+"""The paper's figures and tables, and the registry that declares them.
 
-Every function returns plain data (lists of row dictionaries or time
-series) so it can be used three ways: printed by the benchmark harness,
-asserted on by the integration tests, and post-processed by anyone who
-wants to plot the curves.  Default parameters are scaled down from the
-paper's (fewer seeds, shorter runs, smaller transfers) so a full
-regeneration finishes in minutes on a laptop; every parameter can be
-turned back up.
+Every figure of the paper is **one** :class:`FigureJob` entry in
+:data:`ALL_FIGURES`, written in paper order.  The entry is the only
+place the figure is declared: its name, seed family, one-line
+description, CI smoke parameters, its declarative
+:class:`~repro.plots.spec.PlotSpec` (axes columns, series grouping,
+95%-CI error-bar columns, log scales) and a direct reference to its
+builder.  The fault-injection workloads of
+:mod:`repro.experiments.workloads` are entries of the same type.
+:func:`~repro.experiments.presets.run_paper`, ``python -m
+repro.experiments --list-figures`` and ``python -m repro.plots`` all
+read the registry; nothing looks a builder up by name.
 
-The figures that only need per-run metrics (3, 4, 4b, 6, 9, 10, 11 and
-Table 2) fan their independent runs out over a
-:class:`~repro.experiments.parallel.ParallelRunner`.  Their ``workers``
-parameter defaults to the shared persistent process pool (one worker per
-core, reused across figure calls so a multi-figure run forks exactly one
-pool); ``workers=0`` or ``1`` force the historical serial execution, and
-``backend=`` accepts any
-:class:`~repro.experiments.backends.ExecutorBackend` instance — pass
-one of ``workers``/``backend``, not both.  Either way the rows are
-bit-identical, because every run is fully determined by its seed.  Each
-metric figure is internally split into a :class:`FigurePlan` — its grid
-of :class:`~repro.experiments.parallel.ScenarioSpec` cells plus an
-``aggregate`` turning record groups into rows — built by the matching
-``figureN_plan()`` function; the plan split is what lets
-:func:`~repro.experiments.presets.run_paper` batch **every** figure's
-cells into one interleaved pool submission
-(:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`) instead
-of draining the pool once per figure.
+Builder defaults are scaled down from the paper's (shorter runs,
+smaller transfers) so a full regeneration finishes in minutes on a
+laptop; every parameter can be turned back up.  There are two kinds of
+job:
 
-The figures that inspect live simulator state after the run (3c, 5, 7,
-8) always execute serially in-process and return series-shaped
-dictionaries; their ``figureNc_rows``-style adapters re-express those
-series as flat row lists with a stable schema so ``run_paper`` and the
-on-disk results store (:mod:`repro.experiments.results`) can treat all
-figures uniformly.  ``repro.experiments.presets`` names the paper-scale
-seed counts and drives every figure — metric and trace — through
-:func:`~repro.experiments.presets.run_paper`.
-
-Every figure additionally registers a declarative
-:class:`~repro.plots.spec.PlotSpec` in :data:`PLOT_SPECS` (metric plans
-carry theirs on :attr:`FigurePlan.plot`): axes columns, series
-grouping, 95%-CI error-bar columns and log scales.  The generic
-renderer in :mod:`repro.plots` consumes those specs to turn any stored
-run directory into figure images (``python -m repro.plots <run_dir>``)
-without per-figure drawing code.
-
-The mapping to the paper:
-
-=============  =====================================================================
-``figure3``    Total energy & data delivered vs. net size for jtp0/jtp10/jtp20
-``figure3c``   Per-packet link-layer attempt bound over time at the third node
-``figure4``    Energy per bit, JTP vs. JNC, vs. net size (linear topologies)
-``figure4b``   Per-node energy in a 7-node linear topology, JTP vs. JNC
-``figure5``    Reception-rate time series of two competing flows, back-off on/off
-``figure6``    Source retransmissions vs. cache size for several net sizes
-``figure7``    Energy and queue drops vs. (constant) feedback rate, plus variable
-``figure8``    Rate adaptation of two competing JTP flows (flip-flop monitor)
-``figure9``    Energy per bit & goodput vs. net size, JTP vs. ATP vs. TCP (linear)
-``figure10``   Energy per bit & goodput, static random topologies
-``figure11``   Energy per bit, goodput and recovery split under mobility
-``table1``     Default parameter values
-``table2``     Testbed-like (stable links, Poisson workload) comparison
-=============  =====================================================================
+* **metric** figures (3, 4, 4b, 6, 9, 10, 11 and Table 2) only need
+  per-run metrics.  Their builder ``<name>_plan()`` returns a
+  :class:`FigurePlan`: a grid of
+  :class:`~repro.experiments.parallel.ScenarioSpec` cells plus an
+  ``aggregate`` turning record groups into rows.  The split is what
+  lets ``run_paper`` batch **every** figure's cells into one
+  interleaved pool submission
+  (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`).  To
+  run one figure on its own, call ``figure9_plan(**params).run(seeds,
+  workers=…, backend=…)``: ``workers`` defaults to the shared
+  persistent :class:`~repro.experiments.backends.AsyncBackend` pool
+  (one worker per core, reused across calls), ``workers=0`` or ``1``
+  run serially, and ``backend=`` accepts any
+  :class:`~repro.experiments.backends.ExecutorBackend` (pass one of the
+  two, not both).  The rows are bit-identical either way, because every
+  run is fully determined by its seed.
+* **trace** figures (3c, 5, 7, 8) inspect live simulator state after
+  the run, so they execute serially in-process.  Their builder returns
+  tidy rows directly (``figure7``) or through a ``figureN_rows``
+  adapter over the series-shaped function (``figure3c``, ``figure5``,
+  ``figure8``), so ``run_paper`` and the on-disk results store
+  (:mod:`repro.experiments.results`) treat all figures uniformly.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.core.config import CachePolicy, FeedbackMode, JTPConfig
@@ -102,25 +80,15 @@ class FigurePlan:
     plan's specs go down together via
     :meth:`~repro.experiments.parallel.ParallelRunner.run_grids`, and
     each figure's ``aggregate`` consumes its own demultiplexed slice —
-    producing rows bit-identical to a standalone figure call.
+    producing rows bit-identical to a standalone :meth:`run`.
 
-    Every ``figureN_plan()`` builder takes the figure function's
-    simulation parameters (everything except ``seeds``/``workers``/
-    ``backend``, which belong to execution, not to the figure).
-
-    ``plot`` is the figure's declarative rendering description
-    (:class:`~repro.plots.spec.PlotSpec`): which row columns form the
-    axes, how rows group into series, where the error bars and log
-    scales are.  Plan builders attach the registered spec from
-    :data:`PLOT_SPECS`, which is what lets ``python -m repro.plots``
-    turn a stored run directory into figure images without any
-    figure-specific drawing code.
+    Every ``<name>_plan()`` builder takes only simulation parameters;
+    ``seeds``, ``workers`` and ``backend`` belong to :meth:`run`.
     """
 
     name: str
     specs: Tuple[ScenarioSpec, ...]
     aggregate: Callable[[Sequence[Sequence[ScenarioRecord]]], List[Row]]
-    plot: Optional[PlotSpec] = None
 
     def run(
         self,
@@ -133,159 +101,36 @@ class FigurePlan:
         return self.aggregate(groups)
 
 
-# ---------------------------------------------------------------------------
-# Plot specs — how each figure's rows become an image
-# ---------------------------------------------------------------------------
-#
-# One declarative PlotSpec per figure of the paper, consumed by the
-# generic renderer in repro.plots (`python -m repro.plots <run_dir>`).
-# The specs name only columns their figure's rows actually carry —
-# tests/test_plots.py pins that against live rows — and mirror the
-# paper's presentation: CI error bars where the rows store `*_ci`
-# columns, log axes where the paper uses them (cache sizes, node
-# speeds), bars for the per-node / per-protocol breakdowns.
+@dataclass(frozen=True)
+class FigureJob:
+    """One registry entry: a paper figure or fault workload, declared once.
 
-PLOT_SPECS: Dict[str, PlotSpec] = {
-    "figure3": PlotSpec(
-        figure="figure3",
-        x="netSize",
-        xlabel="network size [nodes]",
-        series=("protocol",),
-        axes=(
-            AxesSpec(y="total_energy_J", yerr="total_energy_ci", ylabel="total energy [J]"),
-            AxesSpec(y="data_delivered_kB", yerr="data_delivered_ci", ylabel="data delivered [kB]"),
-        ),
-        title="Figure 3 - adjustable reliability: energy and delivered data",
-    ),
-    "figure3c": PlotSpec(
-        figure="figure3c",
-        x="time",
-        xlabel="time [s]",
-        series=("protocol",),
-        axes=(AxesSpec(y="attempts", ylabel="attempt bound"),),
-        title="Figure 3(c) - iJTP per-packet attempt bound at the third node",
-    ),
-    "figure4": PlotSpec(
-        figure="figure4",
-        x="netSize",
-        xlabel="network size [nodes]",
-        series=("protocol",),
-        axes=(
-            AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
-            AxesSpec(y="source_rtx", ylabel="source retransmissions"),
-        ),
-        title="Figure 4(a) - caching gain: JTP vs JNC",
-    ),
-    "figure4b": PlotSpec(
-        figure="figure4b",
-        x="node",
-        xlabel="node index",
-        series=("protocol",),
-        axes=(AxesSpec(y="energy_J", ylabel="energy [J]", kind="bar"),),
-        title="Figure 4(b) - per-node energy, 7-node chain",
-    ),
-    "figure5": PlotSpec(
-        figure="figure5",
-        x="time",
-        xlabel="time [s]",
-        series=("variant", "series"),
-        axes=(AxesSpec(y="rate_pps", ylabel="reception rate [pkt/s]"),),
-        title="Figure 5 - competing flows with source back-off on/off",
-    ),
-    "figure6": PlotSpec(
-        figure="figure6",
-        x="cache_size",
-        xlabel="cache size [pkts]",
-        series=("netSize",),
-        logx=True,
-        axes=(
-            AxesSpec(y="source_rtx", ylabel="source retransmissions"),
-            AxesSpec(y="cache_recoveries", ylabel="cache recoveries"),
-        ),
-        title="Figure 6 - effect of in-network cache size",
-    ),
-    "figure7": PlotSpec(
-        figure="figure7",
-        x="feedback",
-        xlabel="feedback mode",
-        axes=(
-            AxesSpec(y="energy_mJ", ylabel="energy [mJ]", kind="bar"),
-            AxesSpec(y="queue_drops", ylabel="queue drops", kind="bar"),
-        ),
-        title="Figure 7 - constant vs variable feedback rate",
-    ),
-    "figure8": PlotSpec(
-        figure="figure8",
-        x="time",
-        xlabel="time [s]",
-        series=("series",),
-        # The flow2_interval row is a (start, end) annotation, not a
-        # series; plotting it as a curve would draw a meaningless point.
-        exclude=("flow2_interval",),
-        axes=(AxesSpec(y="value", ylabel="rate [pkt/s] / monitor level"),),
-        title="Figure 8 - rate adaptation of two competing JTP flows",
-    ),
-    "figure9": PlotSpec(
-        figure="figure9",
-        x="netSize",
-        xlabel="network size [nodes]",
-        series=("protocol",),
-        axes=(
-            AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
-            AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
-        ),
-        title="Figure 9 - JTP vs ATP vs TCP, linear topologies",
-    ),
-    "figure10": PlotSpec(
-        figure="figure10",
-        x="netSize",
-        xlabel="network size [nodes]",
-        series=("protocol",),
-        axes=(
-            AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
-            AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
-        ),
-        title="Figure 10 - JTP vs ATP vs TCP, static random topologies",
-    ),
-    "figure11": PlotSpec(
-        figure="figure11",
-        x="speed_mps",
-        xlabel="node speed [m/s]",
-        series=("protocol",),
-        logx=True,
-        axes=(
-            AxesSpec(y="energy_per_bit_uJ", ylabel="energy per bit [uJ]"),
-            AxesSpec(y="goodput_kbps", ylabel="goodput [kbit/s]"),
-            AxesSpec(y="source_rtx_per_kpkt", ylabel="source rtx / kpkt"),
-            AxesSpec(y="cache_hits_per_kpkt", ylabel="cache hits / kpkt"),
-        ),
-        title="Figure 11 - mobility: energy, goodput and recovery split",
-    ),
-    "table2": PlotSpec(
-        figure="table2",
-        x="protocol",
-        xlabel="protocol",
-        axes=(
-            AxesSpec(y="energy_per_bit_mJ", ylabel="energy per bit [mJ]", kind="bar"),
-            AxesSpec(y="goodput_kbps", ylabel="goodput [kbit/s]", kind="bar"),
-        ),
-        title="Table 2 - testbed-like comparison",
-    ),
-}
-
-
-def plot_spec(name: str) -> PlotSpec:
-    """The registered :class:`PlotSpec` for a figure name (KeyError-safe).
-
-    Raises :class:`ValueError` naming the known figures, so CLI callers
-    get an actionable message instead of a bare ``KeyError``.
+    ``build`` is the job's builder, referenced directly.  For
+    ``kind="metric"`` it is the ``<name>_plan()`` function, whose grid
+    joins ``run_paper``'s batched pool submission; for ``kind="trace"``
+    it returns the figure's rows and runs serially in-process.
+    ``family`` (``"linear"`` or ``"random"``) picks the seed preset.
+    ``plot`` turns the job's rows into an image; ``tests/test_plots.py``
+    checks for every job that it names only columns the rows carry.
+    ``description`` is the one line printed by ``python -m
+    repro.experiments --list-figures``; the doc tests pin it in the
+    README and ``docs/faults.md``.
     """
-    try:
-        return PLOT_SPECS[name]
-    except KeyError:
-        raise ValueError(
-            f"no PlotSpec registered for {name!r}; known: {sorted(PLOT_SPECS)}"
-        ) from None
+
+    name: str
+    family: str
+    build: Callable[..., Any]
+    plot: PlotSpec
+    description: str
+    #: Parameter overrides applied for ``seeds="smoke"`` so a full smoke
+    #: sweep stays CI-sized; paper runs use the builder defaults.
+    smoke_kwargs: Dict[str, object] = field(default_factory=dict)
+    #: ``"metric"`` (batched grid) or ``"trace"`` (serial rows).
+    kind: str = "metric"
+
+    def planner(self) -> Callable[..., Any]:
+        """The job's builder: ``<name>_plan`` for a metric job."""
+        return self.build
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +143,7 @@ def figure3_plan(
     transfer_bytes: float = 120_000.0,
     duration: float = 900.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figures 3(a) and 3(b)."""
+    """Figures 3(a) and 3(b): energy and delivered data per reliability level."""
     cells = [(size, tolerance) for size in net_sizes for tolerance in tolerances]
     specs = tuple(
         ScenarioSpec("linear", {
@@ -331,21 +176,7 @@ def figure3_plan(
             })
         return rows
 
-    return FigurePlan("figure3", specs, aggregate, plot=PLOT_SPECS["figure3"])
-
-
-def figure3(
-    net_sizes: Sequence[int] = (3, 5, 7, 9),
-    tolerances: Sequence[float] = (0.0, 0.10, 0.20),
-    seeds: Sequence[int] = (1, 2),
-    transfer_bytes: float = 120_000.0,
-    duration: float = 900.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figures 3(a) and 3(b): energy and delivered data per reliability level."""
-    plan = figure3_plan(net_sizes, tolerances, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+    return FigurePlan("figure3", specs, aggregate)
 
 
 def figure3c(
@@ -388,7 +219,7 @@ def figure4_plan(
     transfer_bytes: float = 150_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 4(a)."""
+    """Figure 4(a): energy per delivered bit, JTP vs. JNC, vs. path length."""
     cells = [(size, name) for size in net_sizes for name in ("jtp", "jnc")]
     specs = tuple(
         ScenarioSpec("linear", {
@@ -415,19 +246,7 @@ def figure4_plan(
             })
         return rows
 
-    return FigurePlan("figure4", specs, aggregate, plot=PLOT_SPECS["figure4"])
-
-
-def figure4(
-    net_sizes: Sequence[int] = (3, 5, 7, 9),
-    seeds: Sequence[int] = (1, 2),
-    transfer_bytes: float = 150_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 4(a): energy per delivered bit, JTP vs. JNC, vs. path length."""
-    return figure4_plan(net_sizes, transfer_bytes, duration).run(seeds, workers, backend)
+    return FigurePlan("figure4", specs, aggregate)
 
 
 def figure4b_plan(
@@ -435,7 +254,7 @@ def figure4b_plan(
     transfer_bytes: float = 150_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 4(b)."""
+    """Figure 4(b): per-node energy in a 7-node chain, JTP vs. JNC."""
     names = ("jtp", "jnc")
     specs = tuple(
         ScenarioSpec("linear", {
@@ -464,19 +283,7 @@ def figure4b_plan(
                 })
         return rows
 
-    return FigurePlan("figure4b", specs, aggregate, plot=PLOT_SPECS["figure4b"])
-
-
-def figure4b(
-    num_nodes: int = 7,
-    seeds: Sequence[int] = (1, 2),
-    transfer_bytes: float = 150_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 4(b): per-node energy in a 7-node chain, JTP vs. JNC."""
-    return figure4b_plan(num_nodes, transfer_bytes, duration).run(seeds, workers, backend)
+    return FigurePlan("figure4b", specs, aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +347,7 @@ def figure6_plan(
     transfer_bytes: float = 200_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 6."""
+    """Figure 6: source retransmissions vs. in-network cache size."""
     cells = [(size, cache_size) for size in net_sizes for cache_size in cache_sizes]
     specs = tuple(
         ScenarioSpec("linear", {
@@ -566,21 +373,7 @@ def figure6_plan(
             })
         return rows
 
-    return FigurePlan("figure6", specs, aggregate, plot=PLOT_SPECS["figure6"])
-
-
-def figure6(
-    cache_sizes: Sequence[int] = (2, 5, 10, 20, 50, 100),
-    net_sizes: Sequence[int] = (5, 8),
-    transfer_bytes: float = 200_000.0,
-    duration: float = 1200.0,
-    seeds: Sequence[int] = (1, 2),
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 6: source retransmissions vs. in-network cache size."""
-    plan = figure6_plan(cache_sizes, net_sizes, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+    return FigurePlan("figure6", specs, aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +516,7 @@ def figure9_plan(
     transfer_bytes: float = 300_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 9."""
+    """Figure 9: energy per bit and goodput on linear topologies."""
     cells = [(size, name) for size in net_sizes for name in protocols]
     specs = tuple(
         ScenarioSpec("linear", {
@@ -735,21 +528,7 @@ def figure9_plan(
         })
         for size, name in cells
     )
-    return FigurePlan("figure9", specs, _comparison_aggregate(cells, "netSize"), plot=PLOT_SPECS["figure9"])
-
-
-def figure9(
-    net_sizes: Sequence[int] = (3, 5, 7, 9),
-    protocols: Sequence[str] = ("jtp", "atp", "tcp"),
-    seeds: Sequence[int] = (1, 2),
-    transfer_bytes: float = 300_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 9: energy per bit and goodput on linear topologies."""
-    plan = figure9_plan(net_sizes, protocols, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+    return FigurePlan("figure9", specs, _comparison_aggregate(cells, "netSize"))
 
 
 def figure10_plan(
@@ -759,7 +538,7 @@ def figure10_plan(
     transfer_bytes: float = 100_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 10."""
+    """Figure 10: energy per bit and goodput on static random topologies."""
     cells = [(size, name) for size in net_sizes for name in protocols]
     specs = tuple(
         ScenarioSpec("random", {
@@ -771,22 +550,7 @@ def figure10_plan(
         })
         for size, name in cells
     )
-    return FigurePlan("figure10", specs, _comparison_aggregate(cells, "netSize"), plot=PLOT_SPECS["figure10"])
-
-
-def figure10(
-    net_sizes: Sequence[int] = (10, 15, 20),
-    protocols: Sequence[str] = ("jtp", "atp", "tcp"),
-    seeds: Sequence[int] = (1, 2),
-    num_flows: int = 5,
-    transfer_bytes: float = 100_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 10: energy per bit and goodput on static random topologies."""
-    plan = figure10_plan(net_sizes, protocols, num_flows, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+    return FigurePlan("figure10", specs, _comparison_aggregate(cells, "netSize"))
 
 
 def figure11_plan(
@@ -797,7 +561,12 @@ def figure11_plan(
     transfer_bytes: float = 80_000.0,
     duration: float = 1200.0,
 ) -> FigurePlan:
-    """Grid + aggregation for Figure 11(a,b,c)."""
+    """Figure 11(a,b,c): energy per bit and goodput under random-waypoint mobility.
+
+    The rows also carry the Figure 11(c) quantities: source
+    retransmissions and cache recoveries, normalised by delivered
+    packets.
+    """
     cells = [(speed, name) for speed in speeds for name in protocols]
     specs = tuple(
         ScenarioSpec("mobile", {
@@ -827,28 +596,7 @@ def figure11_plan(
             })
         return rows
 
-    return FigurePlan("figure11", specs, aggregate, plot=PLOT_SPECS["figure11"])
-
-
-def figure11(
-    speeds: Sequence[float] = (0.1, 1.0, 5.0),
-    protocols: Sequence[str] = ("jtp", "atp", "tcp"),
-    seeds: Sequence[int] = (1,),
-    num_nodes: int = 15,
-    num_flows: int = 5,
-    transfer_bytes: float = 80_000.0,
-    duration: float = 1200.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Figure 11(a,b): energy per bit and goodput under random-waypoint mobility.
-
-    For JTP the rows also carry the Figure 11(c) quantities: source
-    retransmissions and cache recoveries, normalised by delivered
-    packets.
-    """
-    plan = figure11_plan(speeds, protocols, num_nodes, num_flows, transfer_bytes, duration)
-    return plan.run(seeds, workers, backend)
+    return FigurePlan("figure11", specs, aggregate)
 
 
 def table1() -> List[Row]:
@@ -869,7 +617,7 @@ def table2_plan(
     duration: float = 1800.0,
     num_nodes: int = 14,
 ) -> FigurePlan:
-    """Grid + aggregation for Table 2."""
+    """Table 2: testbed-like comparison over stable, low-loss links."""
     protocols = tuple(protocols)
     specs = tuple(
         ScenarioSpec("testbed", {"protocol": name, "num_nodes": num_nodes, "duration": duration})
@@ -886,32 +634,21 @@ def table2_plan(
             })
         return rows
 
-    return FigurePlan("table2", specs, aggregate, plot=PLOT_SPECS["table2"])
-
-
-def table2(
-    protocols: Sequence[str] = ("jtp", "atp", "tcp"),
-    duration: float = 1800.0,
-    seeds: Sequence[int] = (1,),
-    num_nodes: int = 14,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Table 2: testbed-like comparison over stable, low-loss links."""
-    return table2_plan(protocols, duration, num_nodes).run(seeds, workers, backend)
+    return FigurePlan("table2", specs, aggregate)
 
 
 # ---------------------------------------------------------------------------
-# Tidy-row adapters for the serial trace figures (3c, 5, 7, 8)
+# Tidy-row adapters for the serial trace figures (3c, 5, 8)
 # ---------------------------------------------------------------------------
 #
 # The trace figures inspect live simulator state (trace events, per-flow
-# statistics objects) and therefore run serially in-process, returning
-# series-shaped dictionaries.  The ``*_rows`` adapters below re-express
-# each of them as a flat list of row dictionaries with a stable key set,
-# which is the one shape the whole pipeline speaks: ``run_paper`` returns
-# rows for every figure, the results store persists rows, and ``report``
-# renders rows.  The raw series functions stay available unchanged.
+# statistics objects) and therefore run serially in-process.  Figures
+# 3c, 5 and 8 return series-shaped dictionaries; the ``*_rows`` adapters
+# below re-express each of them as a flat list of row dictionaries with
+# a stable key set, which is the one shape the whole pipeline speaks:
+# ``run_paper`` returns rows for every figure, the results store
+# persists rows, and ``report`` renders rows.  Figure 7 already returns
+# rows.  The raw series functions stay available unchanged.
 
 
 def figure3c_rows(**kwargs: Any) -> List[Row]:
@@ -943,11 +680,6 @@ def figure5_rows(**kwargs: Any) -> List[Row]:
                 for time, rate in points
             )
     return rows
-
-
-def figure7_rows(**kwargs: Any) -> List[Row]:
-    """Figure 7 rows — :func:`figure7` already returns tidy rows."""
-    return figure7(**kwargs)
 
 
 def figure8_rows(**kwargs: Any) -> List[Row]:
@@ -1038,3 +770,243 @@ def ablation_mac_type(
             "goodput_kbps": statistics.fmean(goodput),
         })
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The registry — one entry per figure and table, in paper order
+# ---------------------------------------------------------------------------
+#
+# Each PlotSpec names only columns its figure's rows carry and mirrors
+# the paper's presentation: CI error bars where the rows store `*_ci`
+# columns, log axes where the paper uses them (cache sizes, node
+# speeds), bars for the per-node / per-protocol breakdowns.
+
+#: Every figure :func:`~repro.experiments.presets.run_paper` regenerates,
+#: in paper order.
+ALL_FIGURES: Tuple[FigureJob, ...] = (
+    FigureJob(
+        "figure3",
+        "linear",
+        figure3_plan,
+        description="Total energy and data delivered vs. net size for jtp0/jtp10/jtp20",
+        smoke_kwargs={"net_sizes": (3, 5), "tolerances": (0.0, 0.10), "transfer_bytes": 40_000, "duration": 400},
+        plot=PlotSpec(
+            figure="figure3",
+            x="netSize",
+            xlabel="network size [nodes]",
+            series=("protocol",),
+            axes=(
+                AxesSpec(y="total_energy_J", yerr="total_energy_ci", ylabel="total energy [J]"),
+                AxesSpec(y="data_delivered_kB", yerr="data_delivered_ci", ylabel="data delivered [kB]"),
+            ),
+            title="Figure 3 - adjustable reliability: energy and delivered data",
+        ),
+    ),
+    FigureJob(
+        "figure3c",
+        "linear",
+        figure3c_rows,
+        kind="trace",
+        description="Per-packet link-layer attempt bound over time at the third node",
+        smoke_kwargs={"num_nodes": 4, "tolerances": (0.10, 0.20), "transfer_bytes": 40_000, "duration": 400},
+        plot=PlotSpec(
+            figure="figure3c",
+            x="time",
+            xlabel="time [s]",
+            series=("protocol",),
+            axes=(AxesSpec(y="attempts", ylabel="attempt bound"),),
+            title="Figure 3(c) - iJTP per-packet attempt bound at the third node",
+        ),
+    ),
+    FigureJob(
+        "figure4",
+        "linear",
+        figure4_plan,
+        description="Energy per bit, JTP vs. JNC, vs. net size (linear topologies)",
+        smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 50_000, "duration": 500},
+        plot=PlotSpec(
+            figure="figure4",
+            x="netSize",
+            xlabel="network size [nodes]",
+            series=("protocol",),
+            axes=(
+                AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
+                AxesSpec(y="source_rtx", ylabel="source retransmissions"),
+            ),
+            title="Figure 4(a) - caching gain: JTP vs JNC",
+        ),
+    ),
+    FigureJob(
+        "figure4b",
+        "linear",
+        figure4b_plan,
+        description="Per-node energy in a 7-node linear topology, JTP vs. JNC",
+        smoke_kwargs={"num_nodes": 5, "transfer_bytes": 50_000, "duration": 500},
+        plot=PlotSpec(
+            figure="figure4b",
+            x="node",
+            xlabel="node index",
+            series=("protocol",),
+            axes=(AxesSpec(y="energy_J", ylabel="energy [J]", kind="bar"),),
+            title="Figure 4(b) - per-node energy, 7-node chain",
+        ),
+    ),
+    FigureJob(
+        "figure5",
+        "linear",
+        figure5_rows,
+        kind="trace",
+        description="Reception-rate time series of two competing flows, back-off on/off",
+        smoke_kwargs={"num_nodes": 5, "duration": 300, "transfer_bytes": 100_000},
+        plot=PlotSpec(
+            figure="figure5",
+            x="time",
+            xlabel="time [s]",
+            series=("variant", "series"),
+            axes=(AxesSpec(y="rate_pps", ylabel="reception rate [pkt/s]"),),
+            title="Figure 5 - competing flows with source back-off on/off",
+        ),
+    ),
+    FigureJob(
+        "figure6",
+        "linear",
+        figure6_plan,
+        description="Source retransmissions vs. in-network cache size for several net sizes",
+        smoke_kwargs={"cache_sizes": (2, 10), "net_sizes": (5,), "transfer_bytes": 50_000, "duration": 400},
+        plot=PlotSpec(
+            figure="figure6",
+            x="cache_size",
+            xlabel="cache size [pkts]",
+            series=("netSize",),
+            logx=True,
+            axes=(
+                AxesSpec(y="source_rtx", ylabel="source retransmissions"),
+                AxesSpec(y="cache_recoveries", ylabel="cache recoveries"),
+            ),
+            title="Figure 6 - effect of in-network cache size",
+        ),
+    ),
+    FigureJob(
+        "figure7",
+        "linear",
+        figure7,
+        kind="trace",
+        description="Energy and queue drops vs. feedback rate, constant vs. variable",
+        smoke_kwargs={
+            "feedback_rates": (0.1, 0.5),
+            "num_nodes": 5,
+            "duration": 300,
+            "long_transfer_bytes": 120_000,
+            "short_transfer_bytes": 15_000,
+            "num_short_flows": 2,
+        },
+        plot=PlotSpec(
+            figure="figure7",
+            x="feedback",
+            xlabel="feedback mode",
+            axes=(
+                AxesSpec(y="energy_mJ", ylabel="energy [mJ]", kind="bar"),
+                AxesSpec(y="queue_drops", ylabel="queue drops", kind="bar"),
+            ),
+            title="Figure 7 - constant vs variable feedback rate",
+        ),
+    ),
+    FigureJob(
+        "figure8",
+        "linear",
+        figure8_rows,
+        kind="trace",
+        description="Rate adaptation of two competing JTP flows (flip-flop monitor)",
+        smoke_kwargs={"num_nodes": 4, "duration": 400, "flow2_start": 120.0, "flow2_duration": 120.0},
+        plot=PlotSpec(
+            figure="figure8",
+            x="time",
+            xlabel="time [s]",
+            series=("series",),
+            # The flow2_interval row is a (start, end) annotation, not a
+            # series; plotting it as a curve would draw a meaningless point.
+            exclude=("flow2_interval",),
+            axes=(AxesSpec(y="value", ylabel="rate [pkt/s] / monitor level"),),
+            title="Figure 8 - rate adaptation of two competing JTP flows",
+        ),
+    ),
+    FigureJob(
+        "figure9",
+        "linear",
+        figure9_plan,
+        description="Energy per bit and goodput vs. net size, JTP vs. ATP vs. TCP (linear)",
+        smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 60_000, "duration": 400},
+        plot=PlotSpec(
+            figure="figure9",
+            x="netSize",
+            xlabel="network size [nodes]",
+            series=("protocol",),
+            axes=(
+                AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
+                AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
+            ),
+            title="Figure 9 - JTP vs ATP vs TCP, linear topologies",
+        ),
+    ),
+    FigureJob(
+        "figure10",
+        "random",
+        figure10_plan,
+        description="Energy per bit and goodput on static random topologies",
+        smoke_kwargs={"net_sizes": (10,), "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
+        plot=PlotSpec(
+            figure="figure10",
+            x="netSize",
+            xlabel="network size [nodes]",
+            series=("protocol",),
+            axes=(
+                AxesSpec(y="energy_per_bit_uJ", yerr="energy_per_bit_ci", ylabel="energy per bit [uJ]"),
+                AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
+            ),
+            title="Figure 10 - JTP vs ATP vs TCP, static random topologies",
+        ),
+    ),
+    FigureJob(
+        "figure11",
+        "random",
+        figure11_plan,
+        description="Energy per bit, goodput and recovery split under mobility",
+        smoke_kwargs={"speeds": (1.0,), "num_nodes": 10, "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
+        plot=PlotSpec(
+            figure="figure11",
+            x="speed_mps",
+            xlabel="node speed [m/s]",
+            series=("protocol",),
+            logx=True,
+            axes=(
+                AxesSpec(y="energy_per_bit_uJ", ylabel="energy per bit [uJ]"),
+                AxesSpec(y="goodput_kbps", ylabel="goodput [kbit/s]"),
+                AxesSpec(y="source_rtx_per_kpkt", ylabel="source rtx / kpkt"),
+                AxesSpec(y="cache_hits_per_kpkt", ylabel="cache hits / kpkt"),
+            ),
+            title="Figure 11 - mobility: energy, goodput and recovery split",
+        ),
+    ),
+    FigureJob(
+        "table2",
+        "random",
+        table2_plan,
+        description="Testbed-like comparison over stable links with a Poisson workload",
+        smoke_kwargs={"num_nodes": 8, "duration": 300},
+        plot=PlotSpec(
+            figure="table2",
+            x="protocol",
+            xlabel="protocol",
+            axes=(
+                AxesSpec(y="energy_per_bit_mJ", ylabel="energy per bit [mJ]", kind="bar"),
+                AxesSpec(y="goodput_kbps", ylabel="goodput [kbit/s]", kind="bar"),
+            ),
+            title="Table 2 - testbed-like comparison",
+        ),
+    ),
+)
+
+#: The metric figures, batched by ``run_paper`` into one pool submission.
+METRIC_FIGURES: Tuple[FigureJob, ...] = tuple(job for job in ALL_FIGURES if job.kind == "metric")
+#: The trace figures, run serially in-process by ``run_paper``.
+TRACE_FIGURES: Tuple[FigureJob, ...] = tuple(job for job in ALL_FIGURES if job.kind == "trace")

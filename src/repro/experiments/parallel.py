@@ -184,8 +184,9 @@ class ParallelRunner:
     ``workers=0`` or ``1`` execute serially in the current process with
     no pool at all — byte-for-byte today's serial semantics — which is
     what the reproducibility tests pin.  ``workers=N`` (default
-    ``os.cpu_count()``) delegates to the shared persistent process pool
-    for that worker count, and ``backend=`` accepts any
+    ``os.cpu_count()``) delegates to the shared persistent
+    :class:`~repro.experiments.backends.AsyncBackend` pool for that
+    worker count, and ``backend=`` accepts any
     :class:`~repro.experiments.backends.ExecutorBackend` instance
     directly (pass one or the other, not both).  Every backend must
     produce bit-identical aggregates, because each run is fully

@@ -2,9 +2,9 @@
 
 The paper averages every linear-topology figure over **twenty**
 independent runs and every random/mobile/testbed figure over **ten**
-(Section 4).  The figure functions default to much smaller, laptop-sized
-seed lists, so the paper-scale counts live here as named presets instead
-of being re-hardcoded by every driver:
+(Section 4).  The figure builders take no seeds at all, so the
+paper-scale counts live here as named presets instead of being
+re-hardcoded by every driver:
 
 * :data:`PAPER_LINEAR` / :data:`PAPER_RANDOM` — the paper's replication
   counts, expanded into concrete seed lists with
@@ -16,6 +16,13 @@ of being re-hardcoded by every driver:
   have always used, rather than spawned seeds.
 * :func:`preset_seeds` — turn a preset name (or an explicit count) plus
   a scenario family into the seed list.
+* :func:`figure_job` — the registry entry
+  (:class:`~repro.experiments.figures.FigureJob`) of a figure or fault
+  workload by name: the one name lookup shared by :func:`run_paper`,
+  ``python -m repro.plots`` and the benchmark harness.  The entries
+  themselves are declared next to their builders, in
+  :data:`~repro.experiments.figures.ALL_FIGURES` and
+  :data:`~repro.experiments.workloads.WORKLOAD_JOBS`.
 * :func:`run_paper` — regenerate **every** figure of the paper in one
   call.  The metric figures (3, 4, 4b, 6, 9, 10, 11, Table 2) are
   planned up front (:class:`~repro.experiments.figures.FigurePlan`) and
@@ -25,8 +32,8 @@ of being re-hardcoded by every driver:
   short cells from one figure keep workers busy while another figure's
   long cells run and the pool never drains at a figure boundary.  The
   serial trace figures (3c, 5, 7, 8) run in-process behind the same
-  interface via their row adapters, so the returned mapping holds tidy
-  rows for every figure.  With ``out_dir=`` the whole run — rows,
+  interface, so the returned mapping holds tidy rows for every
+  figure.  With ``out_dir=`` the whole run — rows,
   seeds, preset, backend, git provenance — is persisted as a run
   directory via :mod:`repro.experiments.results`, loadable with
   :func:`~repro.experiments.results.load_run` and renderable with
@@ -40,18 +47,15 @@ run directory behind as the job's artifact.
 
 from __future__ import annotations
 
-import importlib
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.backends import ExecutorBackend, resolve_backend
+from repro.experiments.figures import ALL_FIGURES, FigureJob
 from repro.experiments.parallel import ParallelRunner, ScenarioRecord, ScenarioSpec, spawn_seeds
 from repro.experiments.results import CellStore, PathLike, cell_key, git_metadata, save_run
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.experiments.figures import FigurePlan
+from repro.experiments.workloads import WORKLOAD_JOBS
 
 #: Replications per figure cell in the paper's evaluation (Section 4).
 PAPER_LINEAR = 20
@@ -100,230 +104,19 @@ def preset_seeds(
     return tuple(seeds)
 
 
-@dataclass(frozen=True)
-class FigureJob:
-    """One figure of the paper: how to run it and how to shrink it for CI.
-
-    ``kind`` selects the execution path: ``"metric"`` figures expose a
-    ``<name>_plan()`` builder whose grid joins the batched pool
-    submission, while ``"trace"`` figures expose a ``<name>_rows()``
-    adapter and run serially in-process (they inspect live simulator
-    state, which cannot cross a worker boundary).
-    """
-
-    name: str
-    family: str
-    #: Parameter overrides applied for ``seeds="smoke"`` so a full smoke
-    #: sweep stays CI-sized; paper runs use the figure defaults.
-    smoke_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: ``"metric"`` (batched grid) or ``"trace"`` (serial row adapter).
-    kind: str = "metric"
-    #: One-line description of what the figure shows in the paper —
-    #: printed by ``python -m repro.experiments --list-figures`` and the
-    #: README's figure index (tests pin the two against this field).
-    description: str = ""
-    #: The module exposing the job's ``<name>``/``<name>_plan`` entry
-    #: points.  Paper figures live in :mod:`repro.experiments.figures`;
-    #: the fault-injection workload families live in
-    #: :mod:`repro.experiments.workloads`.
-    module: str = "repro.experiments.figures"
-
-    def _module(self):
-        return importlib.import_module(self.module)
-
-    def func(self) -> Callable[..., List[dict]]:
-        return getattr(self._module(), self.name)
-
-    def planner(self) -> Callable[..., "FigurePlan"]:
-        """The figure's ``<name>_plan()`` builder (metric figures only)."""
-        return getattr(self._module(), f"{self.name}_plan")
-
-    def rows_func(self) -> Callable[..., List[dict]]:
-        """The figure's ``<name>_rows()`` adapter (trace figures only)."""
-        return getattr(self._module(), f"{self.name}_rows")
-
-
-#: The metric figures batched by :func:`run_paper`, in paper order.
-METRIC_FIGURES: Tuple[FigureJob, ...] = (
-    FigureJob(
-        "figure3",
-        "linear",
-        smoke_kwargs={"net_sizes": (3, 5), "tolerances": (0.0, 0.10), "transfer_bytes": 40_000, "duration": 400},
-        description="Total energy and data delivered vs. net size for jtp0/jtp10/jtp20",
-    ),
-    FigureJob(
-        "figure4",
-        "linear",
-        smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 50_000, "duration": 500},
-        description="Energy per bit, JTP vs. JNC, vs. net size (linear topologies)",
-    ),
-    FigureJob(
-        "figure4b",
-        "linear",
-        smoke_kwargs={"num_nodes": 5, "transfer_bytes": 50_000, "duration": 500},
-        description="Per-node energy in a 7-node linear topology, JTP vs. JNC",
-    ),
-    FigureJob(
-        "figure6",
-        "linear",
-        smoke_kwargs={"cache_sizes": (2, 10), "net_sizes": (5,), "transfer_bytes": 50_000, "duration": 400},
-        description="Source retransmissions vs. in-network cache size for several net sizes",
-    ),
-    FigureJob(
-        "figure9",
-        "linear",
-        smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 60_000, "duration": 400},
-        description="Energy per bit and goodput vs. net size, JTP vs. ATP vs. TCP (linear)",
-    ),
-    FigureJob(
-        "figure10",
-        "random",
-        smoke_kwargs={"net_sizes": (10,), "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
-        description="Energy per bit and goodput on static random topologies",
-    ),
-    FigureJob(
-        "figure11",
-        "random",
-        smoke_kwargs={"speeds": (1.0,), "num_nodes": 10, "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
-        description="Energy per bit, goodput and recovery split under mobility",
-    ),
-    FigureJob(
-        "table2",
-        "random",
-        smoke_kwargs={"num_nodes": 8, "duration": 300},
-        description="Testbed-like comparison over stable links with a Poisson workload",
-    ),
-)
-
-#: The serial trace figures run by :func:`run_paper` via their row
-#: adapters.  They inspect live simulator state (trace events, per-flow
-#: statistics) and therefore execute in-process, not on the pool; their
-#: smoke kwargs shrink each to a CI-sized single run.
-TRACE_FIGURES: Tuple[FigureJob, ...] = (
-    FigureJob(
-        "figure3c",
-        "linear",
-        smoke_kwargs={"num_nodes": 4, "tolerances": (0.10, 0.20), "transfer_bytes": 40_000, "duration": 400},
-        description="Per-packet link-layer attempt bound over time at the third node",
-        kind="trace",
-    ),
-    FigureJob(
-        "figure5",
-        "linear",
-        smoke_kwargs={"num_nodes": 5, "duration": 300, "transfer_bytes": 100_000},
-        description="Reception-rate time series of two competing flows, back-off on/off",
-        kind="trace",
-    ),
-    FigureJob(
-        "figure7",
-        "linear",
-        smoke_kwargs={
-            "feedback_rates": (0.1, 0.5),
-            "num_nodes": 5,
-            "duration": 300,
-            "long_transfer_bytes": 120_000,
-            "short_transfer_bytes": 15_000,
-            "num_short_flows": 2,
-        },
-        description="Energy and queue drops vs. feedback rate, constant vs. variable",
-        kind="trace",
-    ),
-    FigureJob(
-        "figure8",
-        "linear",
-        smoke_kwargs={"num_nodes": 4, "duration": 400, "flow2_start": 120.0, "flow2_duration": 120.0},
-        description="Rate adaptation of two competing JTP flows (flip-flop monitor)",
-        kind="trace",
-    ),
-)
-
-#: Paper-order figure names, used to interleave metric and trace jobs.
-_PAPER_ORDER = (
-    "figure3",
-    "figure3c",
-    "figure4",
-    "figure4b",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "table2",
-)
-
-#: Every figure :func:`run_paper` regenerates, in paper order.
-ALL_FIGURES: Tuple[FigureJob, ...] = tuple(
-    sorted(METRIC_FIGURES + TRACE_FIGURES, key=lambda job: _PAPER_ORDER.index(job.name))
-)
-
-#: The fault-injection workload families (:mod:`repro.experiments.workloads`).
-#: They are metric jobs in every respect — planned grids, batched cells,
-#: cell-cache resume — but are listed separately from the paper figures:
-#: :func:`run_paper` accepts their names alongside figure names, while
-#: :func:`figure_index` (and therefore the README's paper-figure index)
-#: stays exactly the paper's figures.
-WORKLOAD_JOBS: Tuple[FigureJob, ...] = (
-    FigureJob(
-        "churn",
-        "random",
-        smoke_kwargs={
-            "protocols": ("jtp", "tcp"),
-            "churn_rates": (0.0, 0.02),
-            "num_nodes": 10,
-            "num_flows": 2,
-            "mean_downtime": 20.0,
-            "transfer_bytes": 30_000,
-            "duration": 300,
-        },
-        description="Goodput and delivery under Poisson node crash/recover churn",
-        module="repro.experiments.workloads",
-    ),
-    FigureJob(
-        "partition_heal",
-        "linear",
-        smoke_kwargs={
-            "protocols": ("jtp", "tcp"),
-            "outages": (0.0, 20.0),
-            "num_nodes": 5,
-            "fault_start": 30.0,
-            "transfer_bytes": 60_000,
-            "duration": 240,
-        },
-        description="Resilience across a clean network partition that heals mid-run",
-        module="repro.experiments.workloads",
-    ),
-    FigureJob(
-        "flapping_links",
-        "linear",
-        smoke_kwargs={
-            "protocols": ("jtp", "tcp"),
-            "flap_rates": (0.0, 0.04),
-            "num_nodes": 5,
-            "transfer_bytes": 60_000,
-            "duration": 240,
-        },
-        description="Resilience under Poisson forced link outages on every chain link",
-        module="repro.experiments.workloads",
-    ),
-    FigureJob(
-        "blackout",
-        "linear",
-        smoke_kwargs={
-            "protocols": ("jtp", "tcp"),
-            "outages": (0.0, 30.0),
-            "num_nodes": 5,
-            "fault_start": 30.0,
-            "transfer_bytes": 60_000,
-            "duration": 240,
-        },
-        description="Resilience while every link is forced into its bad loss regime",
-        module="repro.experiments.workloads",
-    ),
-)
-
 _JOBS_BY_NAME: Dict[str, FigureJob] = {job.name: job for job in ALL_FIGURES + WORKLOAD_JOBS}
+
+
+def figure_job(name: str) -> FigureJob:
+    """The registry entry of a paper figure or fault workload, by name.
+
+    Raises :class:`ValueError` naming the known jobs, so a CLI or bench
+    caller gets an actionable message instead of a bare ``KeyError``.
+    """
+    try:
+        return _JOBS_BY_NAME[name]
+    except KeyError:
+        raise ValueError(f"unknown figures {[name]}; known: {sorted(_JOBS_BY_NAME)}") from None
 
 
 def figure_index() -> List[Tuple[str, str, str]]:
@@ -375,7 +168,8 @@ def run_paper(
     count, or an explicit seed list; ``backend``/``workers`` select the
     executor exactly as in
     :class:`~repro.experiments.parallel.ParallelRunner` (pass at most
-    one — the default is the shared persistent process pool).
+    one — the default is the shared persistent
+    :class:`~repro.experiments.backends.AsyncBackend` pool).
     ``overrides`` maps figure names to extra keyword arguments, applied
     on top of the smoke shrinkage when ``seeds="smoke"``.
 
@@ -383,9 +177,9 @@ def run_paper(
     to the backend as **one** interleaved task stream
     (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`), so
     the pool never drains between figures; each figure's rows are then
-    aggregated from its demultiplexed slice — bit-identical to calling
-    the figure functions one at a time.  The trace figures (3c, 5, 7,
-    8) run serially in-process through their row adapters.  Trace
+    aggregated from its demultiplexed slice — bit-identical to running
+    each figure's plan on its own.  The trace figures (3c, 5, 7, 8) run
+    serially in-process.  Trace
     figures are single-run by construction: their replication seed is a
     figure parameter (override via ``overrides``), not the ``seeds``
     preset.
@@ -413,7 +207,8 @@ def run_paper(
     (without).  Expect roughly 2x wall-clock while profiling; results
     are unaffected.
 
-    Returns ``{figure name: rows}`` in paper order.  With ``out_dir``
+    Returns ``{figure name: rows}`` in the requested order (paper order
+    by default).  With ``out_dir``
     the same mapping is persisted as a run directory
     (:func:`~repro.experiments.results.save_run`) whose manifest records
     the preset, resolved per-family seed lists, backend, base seed, git
@@ -436,17 +231,14 @@ def run_paper(
     the next run).  Trace figures are cheap single runs and are never
     cached.  See ``docs/distributed.md`` for the full semantics.
     """
-    if figures is None:
-        jobs = list(ALL_FIGURES)
-    else:
-        unknown = sorted(set(figures) - set(_JOBS_BY_NAME))
-        if unknown:
-            raise ValueError(f"unknown figures {unknown}; known: {sorted(_JOBS_BY_NAME)}")
-        if len(set(figures)) != len(list(figures)):
-            # Duplicates would be simulated in full and then silently
-            # collapsed into one results entry — reject them instead.
-            raise ValueError(f"duplicate figure names in {list(figures)}")
-        jobs = [_JOBS_BY_NAME[name] for name in figures]
+    if isinstance(figures, str):
+        raise ValueError(f"figures must be a sequence of names, not the string {figures!r}")
+    requested = [job.name for job in ALL_FIGURES] if figures is None else list(figures)
+    if len(set(requested)) != len(requested):
+        # Duplicates would be simulated in full and then silently
+        # collapsed into one results entry — reject them instead.
+        raise ValueError(f"duplicate figure names in {requested}")
+    jobs = [figure_job(name) for name in requested]
     resolved = resolve_backend(workers=workers, backend=backend)
 
     from repro.sim import profile as core_profile
@@ -466,7 +258,7 @@ def run_paper(
     # Plan every metric figure up front, submit all their grids as one
     # interleaved batch, then aggregate each figure from its own slice.
     planned = [
-        (job, job.planner()(**job_kwargs(job)), preset_seeds(seeds, family=job.family, base_seed=base_seed))
+        (job, job.build(**job_kwargs(job)), preset_seeds(seeds, family=job.family, base_seed=base_seed))
         for job in jobs
         if job.kind == "metric"
     ]
@@ -540,7 +332,7 @@ def run_paper(
             if job.kind == "trace":
                 if progress is not None:
                     progress(job.name, 0, 1)
-                rows_by_name[job.name] = job.rows_func()(**job_kwargs(job))
+                rows_by_name[job.name] = job.build(**job_kwargs(job))
                 if progress is not None:
                     progress(job.name, 1, 1)
 

@@ -17,18 +17,20 @@ workload families are registered:
                    for a configurable window.
 =================  ==========================================================
 
-Every family follows the figure conventions exactly: a ``<name>_plan()``
-builder returns a :class:`~repro.experiments.figures.FigurePlan` whose
-grid is plain :class:`~repro.experiments.parallel.ScenarioSpec` cells
-(the fault plan travels *inside* the cell params, so cell-cache keys,
-process workers and remote workers all see it), a ``<name>()`` wrapper
-runs the plan, and a :class:`~repro.plots.spec.PlotSpec` in
-:data:`WORKLOAD_PLOT_SPECS` renders the rows.  Each grid includes a
-fault-free baseline column (fault intensity 0) so the aggregation can
-report goodput degradation as a ratio against the same protocol under
-no faults.  Replication, confidence intervals, run persistence and
+Every family is one :class:`~repro.experiments.figures.FigureJob`
+entry in :data:`WORKLOAD_JOBS`, exactly like a metric figure: the entry
+holds the ``<name>_plan()`` builder, whose
+:class:`~repro.experiments.figures.FigurePlan` grid is plain
+:class:`~repro.experiments.parallel.ScenarioSpec` cells (the fault plan
+travels *inside* the cell params, so cell-cache keys, process workers
+and remote workers all see it), its smoke parameters and its
+:class:`~repro.plots.spec.PlotSpec`.  Each grid includes a fault-free
+baseline column (fault intensity 0) so the aggregation can report
+goodput degradation as a ratio against the same protocol under no
+faults.  Replication, confidence intervals, run persistence and
 plotting are all inherited: ``run_paper(figures=["partition_heal"],
-...)`` treats a workload like any metric figure.
+...)`` treats a workload like any metric figure, and
+``partition_heal_plan(**params).run(seeds)`` runs one on its own.
 
 Resilience columns emitted per cell (beyond the usual goodput/delivery
 pair): ``outage_delivery_ratio`` (delivery rate while a fault was
@@ -41,77 +43,16 @@ protocol's fault-free mean).
 from __future__ import annotations
 
 import statistics
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.experiments.backends import ExecutorBackend
-from repro.experiments.figures import FigurePlan, Row
+from repro.experiments.figures import FigureJob, FigurePlan, Row, _mean_ci
 from repro.experiments.parallel import ScenarioRecord, ScenarioSpec
-from repro.experiments.runner import confidence_interval
 from repro.plots.spec import AxesSpec, PlotSpec
 from repro.sim.faults import FaultPlan
-
-#: Workload family names, in registry order.
-WORKLOADS: Tuple[str, ...] = ("churn", "partition_heal", "flapping_links", "blackout")
 
 #: Protocols compared by every workload unless overridden: the full
 #: JTP/iJTP stack, the caching-free variant and the end-to-end baseline.
 DEFAULT_PROTOCOLS: Tuple[str, ...] = ("jtp", "jnc", "tcp")
-
-
-def _mean_ci(values: Sequence[float]) -> Tuple[float, float]:
-    return statistics.fmean(values), confidence_interval(list(values))
-
-
-def _resilience_axes() -> Tuple[AxesSpec, ...]:
-    return (
-        AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
-        AxesSpec(y="delivered_frac", yerr="delivered_ci", ylabel="delivered fraction"),
-    )
-
-
-#: One declarative plot per workload, same renderer as the paper figures.
-WORKLOAD_PLOT_SPECS: Dict[str, PlotSpec] = {
-    "churn": PlotSpec(
-        figure="churn",
-        x="churn_rate",
-        xlabel="crash rate [1/s]",
-        series=("protocol",),
-        axes=_resilience_axes(),
-        title="Node churn: goodput and delivery vs. crash rate",
-    ),
-    "partition_heal": PlotSpec(
-        figure="partition_heal",
-        x="outage_s",
-        xlabel="partition outage [s]",
-        series=("protocol",),
-        axes=_resilience_axes(),
-        title="Partition & heal: goodput and delivery vs. outage length",
-    ),
-    "flapping_links": PlotSpec(
-        figure="flapping_links",
-        x="flap_rate",
-        xlabel="link-outage rate [1/s]",
-        series=("protocol",),
-        axes=_resilience_axes(),
-        title="Flapping links: goodput and delivery vs. outage rate",
-    ),
-    "blackout": PlotSpec(
-        figure="blackout",
-        x="outage_s",
-        xlabel="blackout length [s]",
-        series=("protocol",),
-        axes=_resilience_axes(),
-        title="Channel blackout: goodput and delivery vs. blackout length",
-    ),
-}
-
-
-def workload_plot_spec(name: str) -> PlotSpec:
-    """The registered :class:`PlotSpec` for one workload family."""
-    spec = WORKLOAD_PLOT_SPECS.get(name)
-    if spec is None:
-        raise ValueError(f"unknown workload {name!r}; known: {sorted(WORKLOAD_PLOT_SPECS)}")
-    return spec
 
 
 def _resilience_aggregate(
@@ -208,29 +149,7 @@ def churn_plan(
         })
         for rate, name in cells
     )
-    return FigurePlan(
-        "churn", specs, _resilience_aggregate(cells, "churn_rate"),
-        plot=WORKLOAD_PLOT_SPECS["churn"],
-    )
-
-
-def churn(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    churn_rates: Sequence[float] = (0.0, 0.005, 0.02),
-    seeds: Sequence[int] = (1, 2),
-    num_nodes: int = 12,
-    mean_downtime: float = 30.0,
-    num_flows: int = 3,
-    transfer_bytes: float = 80_000.0,
-    duration: float = 900.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Node-churn workload: goodput/delivery degradation vs. crash rate."""
-    plan = churn_plan(
-        protocols, churn_rates, num_nodes, mean_downtime, num_flows, transfer_bytes, duration
-    )
-    return plan.run(seeds, workers, backend)
+    return FigurePlan("churn", specs, _resilience_aggregate(cells, "churn_rate"))
 
 
 # ---------------------------------------------------------------------------
@@ -266,28 +185,7 @@ def partition_heal_plan(
         })
         for outage, name in cells
     )
-    return FigurePlan(
-        "partition_heal", specs, _resilience_aggregate(cells, "outage_s"),
-        plot=WORKLOAD_PLOT_SPECS["partition_heal"],
-    )
-
-
-def partition_heal(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    outages: Sequence[float] = (0.0, 20.0, 60.0),
-    seeds: Sequence[int] = (1, 2),
-    num_nodes: int = 6,
-    fault_start: float = 60.0,
-    transfer_bytes: float = 150_000.0,
-    duration: float = 600.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Partition-and-heal workload: resilience vs. outage length."""
-    plan = partition_heal_plan(
-        protocols, outages, num_nodes, fault_start, transfer_bytes, duration
-    )
-    return plan.run(seeds, workers, backend)
+    return FigurePlan("partition_heal", specs, _resilience_aggregate(cells, "outage_s"))
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +218,7 @@ def flapping_links_plan(
         })
         for rate, name in cells
     )
-    return FigurePlan(
-        "flapping_links", specs, _resilience_aggregate(cells, "flap_rate"),
-        plot=WORKLOAD_PLOT_SPECS["flapping_links"],
-    )
-
-
-def flapping_links(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    flap_rates: Sequence[float] = (0.0, 0.01, 0.04),
-    seeds: Sequence[int] = (1, 2),
-    num_nodes: int = 6,
-    mean_outage: float = 5.0,
-    transfer_bytes: float = 150_000.0,
-    duration: float = 600.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Flapping-links workload: resilience vs. forced link-outage rate."""
-    plan = flapping_links_plan(
-        protocols, flap_rates, num_nodes, mean_outage, transfer_bytes, duration
-    )
-    return plan.run(seeds, workers, backend)
+    return FigurePlan("flapping_links", specs, _resilience_aggregate(cells, "flap_rate"))
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +254,112 @@ def blackout_plan(
         })
         for outage, name in cells
     )
-    return FigurePlan(
-        "blackout", specs, _resilience_aggregate(cells, "outage_s"),
-        plot=WORKLOAD_PLOT_SPECS["blackout"],
-    )
+    return FigurePlan("blackout", specs, _resilience_aggregate(cells, "outage_s"))
 
 
-def blackout(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    outages: Sequence[float] = (0.0, 30.0, 90.0),
-    seeds: Sequence[int] = (1, 2),
-    num_nodes: int = 6,
-    fault_start: float = 60.0,
-    transfer_bytes: float = 150_000.0,
-    duration: float = 600.0,
-    workers: Optional[int] = None,
-    backend: Optional[ExecutorBackend] = None,
-) -> List[Row]:
-    """Channel-blackout workload: resilience vs. blackout length."""
-    plan = blackout_plan(
-        protocols, outages, num_nodes, fault_start, transfer_bytes, duration
-    )
-    return plan.run(seeds, workers, backend)
+
+# ---------------------------------------------------------------------------
+# The registry — one entry per workload family
+# ---------------------------------------------------------------------------
+
+_RESILIENCE_AXES = (
+    AxesSpec(y="goodput_kbps", yerr="goodput_ci", ylabel="goodput [kbit/s]"),
+    AxesSpec(y="delivered_frac", yerr="delivered_ci", ylabel="delivered fraction"),
+)
+
+#: The fault-injection workload families, in registry order.  They are
+#: metric jobs in every respect (planned grids, batched cells, cell-cache
+#: resume) but are kept apart from the paper's figures:
+#: :func:`~repro.experiments.presets.run_paper` accepts their names
+#: alongside figure names, while its default run and the README's
+#: paper-figure index stay exactly the paper's figures.
+WORKLOAD_JOBS: Tuple[FigureJob, ...] = (
+    FigureJob(
+        "churn",
+        "random",
+        churn_plan,
+        description="Goodput and delivery under Poisson node crash/recover churn",
+        smoke_kwargs={
+            "protocols": ("jtp", "tcp"),
+            "churn_rates": (0.0, 0.02),
+            "num_nodes": 10,
+            "num_flows": 2,
+            "mean_downtime": 20.0,
+            "transfer_bytes": 30_000,
+            "duration": 300,
+        },
+        plot=PlotSpec(
+            figure="churn",
+            x="churn_rate",
+            xlabel="crash rate [1/s]",
+            series=("protocol",),
+            axes=_RESILIENCE_AXES,
+            title="Node churn: goodput and delivery vs. crash rate",
+        ),
+    ),
+    FigureJob(
+        "partition_heal",
+        "linear",
+        partition_heal_plan,
+        description="Resilience across a clean network partition that heals mid-run",
+        smoke_kwargs={
+            "protocols": ("jtp", "tcp"),
+            "outages": (0.0, 20.0),
+            "num_nodes": 5,
+            "fault_start": 30.0,
+            "transfer_bytes": 60_000,
+            "duration": 240,
+        },
+        plot=PlotSpec(
+            figure="partition_heal",
+            x="outage_s",
+            xlabel="partition outage [s]",
+            series=("protocol",),
+            axes=_RESILIENCE_AXES,
+            title="Partition & heal: goodput and delivery vs. outage length",
+        ),
+    ),
+    FigureJob(
+        "flapping_links",
+        "linear",
+        flapping_links_plan,
+        description="Resilience under Poisson forced link outages on every chain link",
+        smoke_kwargs={
+            "protocols": ("jtp", "tcp"),
+            "flap_rates": (0.0, 0.04),
+            "num_nodes": 5,
+            "transfer_bytes": 60_000,
+            "duration": 240,
+        },
+        plot=PlotSpec(
+            figure="flapping_links",
+            x="flap_rate",
+            xlabel="link-outage rate [1/s]",
+            series=("protocol",),
+            axes=_RESILIENCE_AXES,
+            title="Flapping links: goodput and delivery vs. outage rate",
+        ),
+    ),
+    FigureJob(
+        "blackout",
+        "linear",
+        blackout_plan,
+        description="Resilience while every link is forced into its bad loss regime",
+        smoke_kwargs={
+            "protocols": ("jtp", "tcp"),
+            "outages": (0.0, 30.0),
+            "num_nodes": 5,
+            "fault_start": 30.0,
+            "transfer_bytes": 60_000,
+            "duration": 240,
+        },
+        plot=PlotSpec(
+            figure="blackout",
+            x="outage_s",
+            xlabel="blackout length [s]",
+            series=("protocol",),
+            axes=_RESILIENCE_AXES,
+            title="Channel blackout: goodput and delivery vs. blackout length",
+        ),
+    ),
+)

@@ -7,9 +7,9 @@ run directories into overlay/delta regression plots —
 **re-simulating nothing**.
 
 * :class:`~repro.plots.spec.PlotSpec` / :class:`~repro.plots.spec.AxesSpec`
-  — the declarative description every figure carries (attached to its
-  :class:`~repro.experiments.figures.FigurePlan` and registered in
-  ``repro.experiments.figures.PLOT_SPECS``).
+  — the declarative description every figure and workload carries (the
+  ``plot`` field of its :class:`~repro.experiments.figures.FigureJob`
+  registry entry).
 * :func:`~repro.plots.render.render_figure` /
   :func:`~repro.plots.render.render_run` — the generic engine: any
   rows + spec → PNG, a whole run directory → one PNG per figure.

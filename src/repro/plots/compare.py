@@ -29,7 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.plots.render import DEFAULT_DPI, render_figure
+from repro.plots.render import DEFAULT_DPI, _registered_specs, render_figure
 from repro.plots.spec import AxesSpec, PlotSpec, is_plottable_number
 
 PathLike = Union[str, Path]
@@ -188,7 +188,6 @@ def compare_runs(
     entry.
     """
     from repro.experiments.results import load_run
-    from repro.plots.render import default_specs
 
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     run_a, run_b = load_run(dir_a), load_run(dir_b)
@@ -196,7 +195,7 @@ def compare_runs(
     if mismatches and not force:
         raise RunMismatchError(mismatches)
 
-    table = dict(specs) if specs is not None else default_specs()
+    table = dict(specs) if specs is not None else _registered_specs(run_a.rows)
     common = [name for name in run_a.rows if name in run_b.rows and name in table]
     if figures is None:
         selected = common

@@ -28,7 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.plots import mini_png
 from repro.plots.spec import AxesSpec, PlotSpec, is_plottable_number
@@ -533,20 +533,26 @@ def render_figure(
     return path
 
 
-def default_specs() -> Dict[str, PlotSpec]:
-    """The repo's figure-name → :class:`PlotSpec` registry.
+def _registered_specs(names: Iterable[str]) -> Dict[str, PlotSpec]:
+    """The registered :class:`PlotSpec` of every name with a registry entry.
 
-    Merges the paper figures (``figures.PLOT_SPECS``) with the
-    fault-injection workload families (``workloads.WORKLOAD_PLOT_SPECS``)
-    so a stored run holding workload rows renders with the same engine.
-    Imported lazily: :mod:`repro.experiments.figures` itself imports
+    Each spec comes from the figure or workload's
+    :class:`~repro.experiments.figures.FigureJob`, found through
+    :func:`~repro.experiments.presets.figure_job`; names without an
+    entry (the bench ablations, say) are left out.  Imported lazily:
+    :mod:`repro.experiments.figures` itself imports
     :mod:`repro.plots.spec`, and a module-level import here would tie
     the two packages into a cycle.
     """
-    from repro.experiments.figures import PLOT_SPECS
-    from repro.experiments.workloads import WORKLOAD_PLOT_SPECS
+    from repro.experiments.presets import figure_job
 
-    return {**PLOT_SPECS, **WORKLOAD_PLOT_SPECS}
+    specs: Dict[str, PlotSpec] = {}
+    for name in names:
+        try:
+            specs[name] = figure_job(name).plot
+        except ValueError:
+            continue
+    return specs
 
 
 def render_run(
@@ -568,7 +574,7 @@ def render_run(
     from repro.experiments.results import load_run
 
     run = load_run(run_dir)
-    table = dict(specs) if specs is not None else default_specs()
+    table = dict(specs) if specs is not None else _registered_specs(run.rows)
     if figures is None:
         selected = [name for name in run.rows if name in table]
     else:

@@ -31,7 +31,7 @@ from repro.experiments.parallel import ParallelRunner, ScenarioSpec
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_LINEAR = {"num_nodes": 3, "transfer_bytes": 8_000, "num_flows": 1, "duration": 150}
-TINY_FIGURE = {"net_sizes": (3,), "tolerances": (0.0,), "seeds": (1, 2), "transfer_bytes": 4_000, "duration": 80}
+TINY_FIGURE = {"net_sizes": (3,), "tolerances": (0.0,), "transfer_bytes": 4_000, "duration": 80}
 
 
 def _pid(_index):
@@ -135,16 +135,10 @@ class TestProcessBackendLifecycle:
         from repro.experiments import figures
 
         with AsyncBackend(workers=2) as backend:
-            figures.figure3(backend=backend, **TINY_FIGURE)
+            figures.figure3_plan(**TINY_FIGURE).run((1, 2), backend=backend)
             pids = backend.worker_pids()
             assert pids, "the first figure call must have started the pool"
-            figures.figure4(
-                backend=backend,
-                net_sizes=(3,),
-                seeds=(1, 2),
-                transfer_bytes=4_000,
-                duration=80,
-            )
+            figures.figure4_plan(net_sizes=(3,), transfer_bytes=4_000, duration=80).run((1, 2), backend=backend)
             assert backend.worker_pids() == pids, "second figure call must reuse the pool"
 
     def test_context_manager_shuts_the_pool_down(self):

@@ -73,12 +73,14 @@ class TestReadmeIndexes:
     README = (REPO_ROOT / "README.md").read_text()
 
     def test_paper_figure_index_is_complete(self):
-        from repro.experiments.presets import figure_index
+        from repro.experiments.figures import ALL_FIGURES
 
-        for name, kind, description in figure_index():
-            assert f"`figures.{name}`" in self.README, f"README index misses {name}"
-            assert description in self.README, f"README index misses {name}'s description"
-            assert kind in ("metric", "trace")
+        for job in ALL_FIGURES:
+            # One README row per registry entry: its kind, its builder and
+            # its description, in that order.
+            row = f"| {job.kind} | `figures.{job.build.__name__}` | {job.description} |"
+            assert row in self.README, f"README index misses {job.name}: {row}"
+            assert job.kind in ("metric", "trace")
 
     def test_env_var_table_names_the_real_knobs(self):
         for variable in (
@@ -184,11 +186,11 @@ class TestReadmeIndexes:
 
     def test_readme_workload_section_matches_the_registry(self):
         from repro.experiments.presets import workload_index
-        from repro.experiments.workloads import WORKLOADS
+        from repro.experiments.workloads import WORKLOAD_JOBS
 
-        assert tuple(name for name, _, _ in workload_index()) == WORKLOADS
-        for name in WORKLOADS:
-            assert f"`{name}`" in self.README, f"README workload list misses `{name}`"
+        assert [name for name, _, _ in workload_index()] == [job.name for job in WORKLOAD_JOBS]
+        for job in WORKLOAD_JOBS:
+            assert f"`{job.name}`" in self.README, f"README workload list misses `{job.name}`"
 
 
 class TestListFiguresCli:

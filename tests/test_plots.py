@@ -2,12 +2,13 @@
 
 The suite pins three layers:
 
-* the **PlotSpec registry** — every figure ``run_paper()`` regenerates
-  has a spec, and every spec names only columns its figure's rows
-  actually produce (schema pins, so a renamed row key breaks loudly);
-* the **renderers** — a tiny full-paper run (every figure, drastically
+* the **PlotSpec registry** — every registered job (paper figure or
+  fault workload) carries a spec named after it, and every spec names
+  only columns its job's rows actually produce (schema pins, so a
+  renamed row key breaks loudly);
+* the **renderers** — a tiny run of every registered job (drastically
   shrunk) persists to a run directory and renders to one valid PNG per
-  figure, trace figures included, with nothing re-simulated;
+  job, trace figures and workloads included, with nothing re-simulated;
 * **run comparison** — overlay/delta images for compatible runs, a
   :class:`RunMismatchError` for runs whose manifests disagree on what
   was simulated, and ``force=True`` to override.
@@ -23,14 +24,18 @@ import shutil
 import pytest
 
 from repro.experiments.backends import SerialBackend
-from repro.experiments.figures import PLOT_SPECS, figure9_plan, plot_spec
-from repro.experiments.presets import ALL_FIGURES, run_paper
+from repro.experiments.figures import ALL_FIGURES, METRIC_FIGURES
+from repro.experiments.presets import figure_job, run_paper
 from repro.experiments.results import load_run
+from repro.experiments.workloads import WORKLOAD_JOBS
 from repro.plots import AxesSpec, PlotSpec, RunMismatchError, compare_runs, render_run
 from repro.plots import mini_png
 from repro.plots.cli import main as plots_main
 from repro.plots.compare import manifest_mismatches
 from repro.plots.render import PANEL_WIDTH, active_backend, prepare_figure, render_figure
+
+#: Every registered job: the paper's figures, then the fault workloads.
+JOBS = ALL_FIGURES + WORKLOAD_JOBS
 
 
 @pytest.fixture(autouse=True)
@@ -40,9 +45,9 @@ def _fallback_renderer(monkeypatch):
     monkeypatch.setenv("REPRO_PLOTS_BACKEND", "fallback")
 
 
-#: Per-figure overrides that shrink the whole paper to test scale.
-#: Trace figures keep >= 4 nodes: figure3c records at node index 2,
-#: which a 3-node chain's sink never reports.
+#: Per-job overrides that shrink every figure and workload to test
+#: scale.  Trace figures keep >= 4 nodes: figure3c records at node
+#: index 2, which a 3-node chain's sink never reports.
 TINY_OVERRIDES = {
     "figure3": {"net_sizes": (3,), "tolerances": (0.0, 0.10), "transfer_bytes": 6_000, "duration": 60},
     "figure3c": {"num_nodes": 4, "tolerances": (0.10,), "transfer_bytes": 20_000, "duration": 120},
@@ -57,15 +62,27 @@ TINY_OVERRIDES = {
     "figure10": {"net_sizes": (8,), "num_flows": 2, "transfer_bytes": 5_000, "duration": 60},
     "figure11": {"speeds": (1.0,), "num_nodes": 8, "num_flows": 2, "transfer_bytes": 5_000, "duration": 60},
     "table2": {"num_nodes": 6, "duration": 120},
+    "churn": {"protocols": ("jtp",), "churn_rates": (0.0, 0.02), "num_nodes": 6, "num_flows": 1,
+              "mean_downtime": 10.0, "transfer_bytes": 5_000, "duration": 60},
+    "partition_heal": {"protocols": ("jtp",), "outages": (0.0, 20.0), "num_nodes": 4, "fault_start": 10.0,
+                       "transfer_bytes": 6_000, "duration": 60},
+    "flapping_links": {"protocols": ("jtp",), "flap_rates": (0.0, 0.05), "num_nodes": 4,
+                       "transfer_bytes": 6_000, "duration": 60},
+    "blackout": {"protocols": ("jtp",), "outages": (0.0, 20.0), "num_nodes": 4, "fault_start": 10.0,
+                 "transfer_bytes": 6_000, "duration": 60},
 }
 
 
 @pytest.fixture(scope="session")
 def tiny_run(tmp_path_factory):
-    """A persisted full-paper run (every figure, test-sized)."""
+    """A persisted run of every registered job, test-sized."""
     out_dir = tmp_path_factory.mktemp("plots") / "run"
     results = run_paper(
-        seeds="smoke", backend=SerialBackend(), overrides=TINY_OVERRIDES, out_dir=out_dir
+        figures=[job.name for job in JOBS],
+        seeds="smoke",
+        backend=SerialBackend(),
+        overrides=TINY_OVERRIDES,
+        out_dir=out_dir,
     )
     return out_dir, results
 
@@ -80,24 +97,28 @@ def _assert_png(path):
 
 class TestPlotSpecs:
     def test_every_figure_has_a_spec(self):
-        assert set(PLOT_SPECS) == {job.name for job in ALL_FIGURES}
-        for name, spec in PLOT_SPECS.items():
-            assert spec.figure == name
+        assert set(TINY_OVERRIDES) == {job.name for job in JOBS}
+        for job in JOBS:
+            assert job.plot.figure == job.name
 
     def test_specs_name_only_columns_the_rows_carry(self, tiny_run):
         _, results = tiny_run
-        for name, rows in results.items():
-            assert rows, f"{name} produced no rows at test scale"
+        assert list(results) == [job.name for job in JOBS]
+        for job in JOBS:
+            rows = results[job.name]
+            assert rows, f"{job.name} produced no rows at test scale"
             columns = set().union(*(row.keys() for row in rows))
-            spec = PLOT_SPECS[name]
-            missing = set(spec.columns()) - columns
-            assert not missing, f"{name} spec names absent columns {missing}"
+            missing = set(job.plot.columns()) - columns
+            assert not missing, f"{job.name} spec names absent columns {missing}"
 
     def test_metric_plans_carry_their_spec(self):
-        assert figure9_plan().plot is PLOT_SPECS["figure9"]
+        # A metric job's cells and rows are keyed on its plan's name, so
+        # the plan, the registry entry and the spec must agree on it.
+        for job in METRIC_FIGURES + WORKLOAD_JOBS:
+            assert job.build(**TINY_OVERRIDES[job.name]).name == job.plot.figure == job.name
 
     def test_figure9_spec_schema_pins(self):
-        spec = PLOT_SPECS["figure9"]
+        spec = figure_job("figure9").plot
         assert spec.x == "netSize"
         assert spec.series == ("protocol",)
         assert [(panel.y, panel.yerr) for panel in spec.axes] == [
@@ -106,19 +127,19 @@ class TestPlotSpecs:
         ]
 
     def test_paper_log_scales(self):
-        assert PLOT_SPECS["figure6"].logx      # cache sizes 2..100
-        assert PLOT_SPECS["figure11"].logx     # node speeds 0.1..5
-        assert PLOT_SPECS["figure4b"].axes[0].kind == "bar"
-        assert PLOT_SPECS["figure8"].exclude == ("flow2_interval",)
+        assert figure_job("figure6").plot.logx      # cache sizes 2..100
+        assert figure_job("figure11").plot.logx     # node speeds 0.1..5
+        assert figure_job("figure4b").plot.axes[0].kind == "bar"
+        assert figure_job("figure8").plot.exclude == ("flow2_interval",)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PlotSpec(figure="x", x="t", axes=())
         with pytest.raises(ValueError):
             AxesSpec(y="v", kind="pie")
-        with pytest.raises(ValueError):
-            plot_spec("figure99")
-        assert plot_spec("figure3") is PLOT_SPECS["figure3"]
+        with pytest.raises(ValueError, match="known: .*'figure3'"):
+            figure_job("figure99")
+        assert figure_job("figure3") is ALL_FIGURES[0]
 
 
 class TestPrepareFigure:
@@ -178,7 +199,8 @@ class TestRenderRun:
     def test_renders_every_figure_as_png(self, tiny_run, tmp_path):
         run_dir, results = tiny_run
         written = render_run(run_dir, out_dir=tmp_path / "imgs")
-        assert set(written) == set(results)          # trace figures included
+        # Trace figures and fault workloads included.
+        assert set(written) == set(results) == {job.name for job in JOBS}
         for name, path in written.items():
             assert path.name == f"{name}.png"
             _assert_png(path)
@@ -259,7 +281,7 @@ class TestCompareRuns:
         from repro.plots.compare import RUN_COLUMN, _overlay_spec
 
         _, results = tiny_run
-        spec = PLOT_SPECS["figure5"]
+        spec = figure_job("figure5").plot
         overlay_rows = [
             {**row, RUN_COLUMN: run} for run in ("run-a", "run-b") for row in results["figure5"]
         ]
@@ -337,5 +359,5 @@ class TestBackendSelection:
         run_dir, results = tiny_run
         stored = load_run(run_dir)
         assert stored.rows.keys() == results.keys()
-        path = render_figure(stored.rows["figure7"], PLOT_SPECS["figure7"], tmp_path / "f7.png")
+        path = render_figure(stored.rows["figure7"], figure_job("figure7").plot, tmp_path / "f7.png")
         _assert_png(path)

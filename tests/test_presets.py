@@ -5,14 +5,12 @@ from typing import ClassVar, Dict, Set
 
 from repro.experiments.backends import SerialBackend
 from repro.experiments.parallel import spawn_seeds
+from repro.experiments.figures import ALL_FIGURES, METRIC_FIGURES, TRACE_FIGURES
 from repro.experiments.presets import (
-    ALL_FIGURES,
-    METRIC_FIGURES,
     PAPER_LINEAR,
     PAPER_RANDOM,
     SMOKE_LINEAR,
     SMOKE_RANDOM,
-    TRACE_FIGURES,
     preset_seeds,
     run_paper,
 )
@@ -67,8 +65,8 @@ class TestMetricFigures:
 
     def test_every_job_resolves_to_a_figure_function(self):
         for job in METRIC_FIGURES:
-            assert callable(job.func())
-            assert callable(job.planner())
+            assert job.planner() is job.build
+            assert job.build.__name__ == f"{job.name}_plan"
             assert job.family in ("linear", "random")
             assert job.kind == "metric"
 
@@ -80,22 +78,8 @@ class TestMetricFigures:
             "figure8",
         ]
         for job in TRACE_FIGURES:
-            assert callable(job.func())
-            assert callable(job.rows_func())
+            assert job.build.__name__ in (job.name, f"{job.name}_rows")
             assert job.kind == "trace"
-
-    def test_wrapper_and_plan_defaults_agree(self):
-        # run_paper(seeds="paper") uses the figureN_plan() defaults while
-        # a direct figureN() call passes its own defaults into the plan;
-        # the two signatures restate the paper parameters and must never
-        # drift apart, or batched rows silently diverge from direct calls.
-        import inspect
-
-        for job in METRIC_FIGURES:
-            wrapper = inspect.signature(job.func()).parameters
-            for name, param in inspect.signature(job.planner()).parameters.items():
-                assert name in wrapper, (job.name, name)
-                assert wrapper[name].default == param.default, (job.name, name)
 
     def test_every_job_has_a_one_line_description(self):
         # --list-figures and the README index both print this field.
@@ -131,6 +115,20 @@ class TestRunPaper:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             run_paper(figures=["figure3", "figure99"])
+        # A str is a sequence of characters; it must be named as such,
+        # not split into one-letter "figure names".
+        with pytest.raises(ValueError, match="string 'figure9'"):
+            run_paper(figures="figure9", seeds="smoke", workers=0)
+
+    def test_generator_of_names_is_consumed_once(self):
+        rows = run_paper(
+            figures=(name for name in ["table2"]),
+            seeds="smoke",
+            workers=0,
+            overrides={"table2": {"num_nodes": 6, "duration": 120}},
+        )
+        assert list(rows) == ["table2"]
+        assert rows["table2"]
 
     def test_duplicate_figures_rejected(self):
         # A duplicate would be simulated twice and silently collapsed
@@ -167,7 +165,7 @@ class TestRunPaper:
     def test_batched_submission_matches_per_figure_runs(self):
         # Two metric figures through one run_paper call (one batched
         # run_grids submission) must produce the same rows as running
-        # each figure alone — and as the direct figure function.
+        # each figure alone — and as the figure's own plan.
         from repro.experiments import figures
 
         overrides = {
@@ -180,10 +178,8 @@ class TestRunPaper:
         alone_t2 = run_paper(figures=["table2"], backend=SerialBackend(), **kwargs)
         assert combined["figure4b"] == alone_4b["figure4b"]
         assert combined["table2"] == alone_t2["table2"]
-        direct = figures.figure4b(
-            seeds=preset_seeds("smoke", family="linear"),
-            backend=SerialBackend(),
-            **overrides["figure4b"],
+        direct = figures.figure4b_plan(**overrides["figure4b"]).run(
+            preset_seeds("smoke", family="linear"), backend=SerialBackend()
         )
         assert combined["figure4b"] == direct
 

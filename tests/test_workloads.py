@@ -2,8 +2,8 @@
 
 The workload registry (`repro.experiments.workloads`) must behave like
 any other figure family: declarative grids with a fault-free baseline
-column, rows carrying the resilience metrics, plot specs registered with
-the generic renderer, names runnable through ``run_paper`` — and the
+column, rows carrying the resilience metrics, plot specs found by the
+generic renderer, names runnable through ``run_paper`` — and the
 aggregated rows bit-identical on every executor backend, which the
 Hypothesis property test extends to *random* fault plans.
 """
@@ -18,16 +18,16 @@ from hypothesis import strategies as st
 
 from repro.experiments.backends import AsyncBackend, SerialBackend
 from repro.experiments.parallel import ParallelRunner, ScenarioSpec
-from repro.experiments.presets import WORKLOAD_JOBS, run_paper, workload_index
+from repro.experiments import workloads
+from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.presets import figure_job, run_paper, workload_index
 from repro.experiments.workloads import (
     DEFAULT_PROTOCOLS,
-    WORKLOAD_PLOT_SPECS,
-    WORKLOADS,
+    WORKLOAD_JOBS,
     blackout_plan,
     churn_plan,
     flapping_links_plan,
     partition_heal_plan,
-    workload_plot_spec,
 )
 from repro.sim.faults import FaultEvent, FaultPlan, FaultProcess
 
@@ -45,38 +45,31 @@ SMOKE_PLAN_KWARGS = dict(
 
 class TestWorkloadRegistry:
     def test_registry_names_are_stable(self):
-        assert WORKLOADS == ("churn", "partition_heal", "flapping_links", "blackout")
-        assert tuple(job.name for job in WORKLOAD_JOBS) == WORKLOADS
+        names = tuple(job.name for job in WORKLOAD_JOBS)
+        assert names == ("churn", "partition_heal", "flapping_links", "blackout")
 
     def test_workload_index_matches_the_jobs(self):
         index = workload_index()
-        assert [name for name, _, _ in index] == list(WORKLOADS)
+        assert [name for name, _, _ in index] == [job.name for job in WORKLOAD_JOBS]
         for name, kind, description in index:
             assert kind == "metric"
             assert description
 
     def test_jobs_resolve_through_the_workloads_module(self):
         for job in WORKLOAD_JOBS:
-            assert job.module == "repro.experiments.workloads"
-            assert callable(job.planner())
-            assert callable(job.func())
+            assert job.planner() is getattr(workloads, f"{job.name}_plan")
 
     def test_plot_specs_registered_with_the_renderer(self):
-        from repro.plots.render import default_specs
+        # The renderer finds specs through figure_job, which must see
+        # every workload without displacing any paper figure.
+        from repro.plots.render import _registered_specs
 
-        specs = default_specs()
-        for name in WORKLOADS:
-            assert name in specs
-            assert specs[name] == WORKLOAD_PLOT_SPECS[name]
-        # The workload registration must not displace any paper figure.
-        from repro.experiments.figures import PLOT_SPECS
-
-        for name in PLOT_SPECS:
-            assert specs[name] == PLOT_SPECS[name]
+        jobs = ALL_FIGURES + WORKLOAD_JOBS
+        assert _registered_specs(job.name for job in jobs) == {job.name: job.plot for job in jobs}
 
     def test_unknown_plot_spec_rejected(self):
-        with pytest.raises(ValueError, match="unknown workload"):
-            workload_plot_spec("landslide")
+        with pytest.raises(ValueError, match="known: .*'partition_heal'"):
+            figure_job("landslide")
 
 
 class TestPlanBuilders:
@@ -190,9 +183,7 @@ class TestRunPaperIntegration:
     def test_default_run_stays_paper_only(self):
         # Workloads are opt-in mix-ins: the all-figures default must not
         # silently grow fault runs.
-        from repro.experiments.presets import ALL_FIGURES
-
-        assert not set(WORKLOADS) & {job.name for job in ALL_FIGURES}
+        assert not {job.name for job in WORKLOAD_JOBS} & {job.name for job in ALL_FIGURES}
 
 
 class TestBackendBitIdentity:
