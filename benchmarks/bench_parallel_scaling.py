@@ -15,8 +15,8 @@ across PRs:
    pooled run must not be slower — spawn/teardown cost is paid once,
    not once per figure.
 3. **Batched grids** — submits several figure plans' grids as one
-   interleaved :meth:`~repro.experiments.parallel.ParallelRunner.run_grids`
-   batch (the ``run_paper`` path) and per figure via ``run_grid``, and
+   interleaved :func:`~repro.experiments.parallel.run_grids` batch (the
+   ``run_paper`` path) and per figure, one grid per call, and
    asserts records *and* aggregated rows are bit-identical.
 
 Aggregated metrics must be bit-identical between the serial backend and
@@ -42,7 +42,7 @@ from conftest import bench_host, bench_no_assert
 
 from repro.experiments import figures
 from repro.experiments.backends import AsyncBackend, SerialBackend
-from repro.experiments.parallel import ParallelRunner, ScenarioSpec, spawn_seeds
+from repro.experiments.parallel import ScenarioSpec, run_grids, spawn_seeds
 from repro.experiments.runner import summarize
 
 WORKER_COUNTS = (1, 2, 4)
@@ -74,8 +74,12 @@ def _scaling_backend(workers):
     return SerialBackend() if workers == 1 else AsyncBackend(workers=workers)
 
 
-def _run_reuse_calls(runner, seeds):
-    return [runner.replicate(spec, seeds) for spec in REUSE_SCENARIOS]
+def _replicate(backend, spec, seeds):
+    return run_grids([([spec], seeds)], backend=backend)[0][0]
+
+
+def _run_reuse_calls(backend, seeds):
+    return [_replicate(backend, spec, seeds) for spec in REUSE_SCENARIOS]
 
 
 def test_parallel_scaling(benchmark):
@@ -91,7 +95,7 @@ def test_parallel_scaling(benchmark):
             backend = _scaling_backend(workers)
             started = time.perf_counter()
             with backend:
-                records = ParallelRunner(backend=backend).replicate(SCENARIO, seeds)
+                records = _replicate(backend, SCENARIO, seeds)
             wall_clock[workers] = time.perf_counter() - started
             summaries[workers] = _summaries(records)
 
@@ -103,17 +107,15 @@ def test_parallel_scaling(benchmark):
         throwaway_records = []
         for spec in REUSE_SCENARIOS:
             with AsyncBackend(workers=pool_workers) as backend:
-                throwaway_records.append(
-                    ParallelRunner(backend=backend).replicate(spec, reuse_seeds)
-                )
+                throwaway_records.append(_replicate(backend, spec, reuse_seeds))
         reuse["throwaway_s"] = time.perf_counter() - started
 
         started = time.perf_counter()
         with AsyncBackend(workers=pool_workers) as backend:
-            pooled_records = _run_reuse_calls(ParallelRunner(backend=backend), reuse_seeds)
+            pooled_records = _run_reuse_calls(backend, reuse_seeds)
         reuse["pooled_s"] = time.perf_counter() - started
 
-        serial_records = _run_reuse_calls(ParallelRunner(backend=SerialBackend()), reuse_seeds)
+        serial_records = _run_reuse_calls(SerialBackend(), reuse_seeds)
 
         # Cross-backend invariant: bit-identical records everywhere.
         assert pooled_records == serial_records, "persistent pool changed the records"
@@ -129,9 +131,8 @@ def test_parallel_scaling(benchmark):
         plan_seeds = [reuse_seeds[:2], reuse_seeds[:2], reuse_seeds[:1]]
         grids = [(plan.specs, seeds_) for plan, seeds_ in zip(plans, plan_seeds, strict=True)]
         with AsyncBackend(workers=pool_workers) as backend:
-            runner = ParallelRunner(backend=backend)
-            batched = runner.run_grids(grids)
-            per_figure = [runner.run_grid(list(specs), seeds_) for specs, seeds_ in grids]
+            batched = run_grids(grids, backend=backend)
+            per_figure = [run_grids([grid], backend=backend)[0] for grid in grids]
         assert batched == per_figure, "batched grids changed the records"
         batched_rows = [plan.aggregate(groups) for plan, groups in zip(plans, batched, strict=True)]
         per_figure_rows = [plan.aggregate(groups) for plan, groups in zip(plans, per_figure, strict=True)]

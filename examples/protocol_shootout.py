@@ -7,7 +7,8 @@ goodput for each — a scaled-down regeneration of the paper's Figure 9.
 
 The per-seed runs execute on a pluggable backend: by default they fan
 out over the shared persistent worker pool, ``--backend async`` builds
-a private pool (remote TCP agents when ``REPRO_ASYNC_ENDPOINT`` is set),
+a private pool (remote TCP agents when ``REPRO_ASYNC_ENDPOINT`` is set,
+sharing the key in ``REPRO_ASYNC_AUTHKEY``),
 and ``--backend serial`` (or ``--workers 0``) runs in-process.
 ``--seeds N`` scales the replication; ``--paper``
 uses the paper's replication count (:data:`PAPER_LINEAR` seeds per

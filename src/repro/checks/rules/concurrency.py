@@ -8,16 +8,18 @@ block the event loop — no ``time.sleep``, no direct
 AsyncScheduler's dispatch loop is a plain thread that blocks only in
 its one bounded ``connection.wait`` tick; any event loop added to this
 layer must not block at all, because one blocking call there would
-stall retry timers, backpressure and heartbeats for the whole fleet,
+stall retry timers, backpressure and timeouts for the whole fleet,
 which shows up as flaky timeout tests rather than an obvious failure.
 Reachability comes from the project call graph, so a blocking call
 hidden two helpers deep is still found.
 
-ASY002 (per-file): every ``Pipe``/``Process``/executor resource
-acquired inside a function in those modules must be closed/joined on
-all exception paths, or handed off (stored on ``self``, passed to a
-constructor, returned).  Leaked pipes keep worker processes alive past
-scheduler shutdown and exhaust file descriptors over a long sweep.
+ASY002 (per-file): every ``Pipe``/``Process``/executor/socket/
+``Connection`` resource acquired inside a function in those modules —
+and in ``repro.experiments.remote``, which owns the worker wire — must
+be closed/joined on all exception paths, or handed off (stored on
+``self``, passed to a call, returned).  Leaked pipes and sockets keep
+workers alive past scheduler shutdown and exhaust file descriptors over
+a long sweep.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class AsyncBlockingRule(ProjectRule):
     rationale = (
         "An event loop in the scheduler layer multiplexes every worker "
         "it serves; a single blocking call in anything it awaits stalls "
-        "retries, backpressure and heartbeats fleet-wide. The contract is "
+        "retries, backpressure and timeouts fleet-wide. The contract is "
         "checked transitively over the project call graph because the "
         "blocking call is never in the async def itself — it hides in a "
         "sync helper two frames down."
@@ -198,8 +200,23 @@ class AsyncBlockingRule(ProjectRule):
 
 #: Constructors whose result owns an OS resource needing release.
 _RESOURCE_CTORS = frozenset(
-    {"Pipe", "Process", "Popen", "Thread", "ProcessPoolExecutor", "ThreadPoolExecutor"}
+    {
+        "Pipe",
+        "Process",
+        "Popen",
+        "Thread",
+        "ProcessPoolExecutor",
+        "ThreadPoolExecutor",
+        "socket",
+        "create_connection",
+        "Connection",
+    }
 )
+
+#: ASY002 also covers the wire module, whose sockets and connections
+#: leak just like pipes.  (ASY001 does not: the agent blocks in
+#: ``connection.wait`` by design.)
+_RESOURCE_MODULES = (*_CONCURRENCY_MODULES, "repro.experiments.remote")
 
 #: Method names that release such a resource.
 _RELEASE_METHODS = frozenset({"close", "terminate", "kill", "join", "shutdown"})
@@ -210,7 +227,7 @@ class ResourceLifecycleRule(Rule):
     """ASY002: acquired Connection/Process resources are released on all paths."""
 
     id = "ASY002"
-    summary = "Pipe/Process/executor resources acquired in the scheduler layer are closed/joined on all exception paths"
+    summary = "Pipe/Process/executor/socket resources in the scheduler layer and the wire are released on all paths"
     rationale = (
         "The dispatch loop acquires pipes and worker processes in bulk; "
         "one leaked Connection keeps its worker alive past shutdown and "
@@ -219,7 +236,7 @@ class ResourceLifecycleRule(Rule):
         "visibly move — stored on self, passed to a constructor, or "
         "returned."
     )
-    packages = _CONCURRENCY_MODULES
+    packages = _RESOURCE_MODULES
 
     def check(self, source: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(source.tree):

@@ -5,17 +5,19 @@
   energy, queue drops, source retransmissions, cache hits, fairness);
 * :mod:`repro.experiments.scenarios` — builders for the paper's scenarios
   (static linear, static random, mobile random, testbed-like);
-* :mod:`repro.experiments.runner` — runs scenarios, replicates them over
-  seeds and aggregates with confidence intervals;
+* :mod:`repro.experiments.runner` — replicates a scenario over seeds
+  (:func:`replicate`, which always returns records) and
+  aggregates with confidence intervals;
 * :mod:`repro.experiments.backends` — pluggable executor backends
   (:class:`SerialBackend`, and :class:`AsyncBackend`, the one worker
   pool: a scheduler with backpressure, work stealing and retry over
   persistent local worker processes or remote TCP agents, shared per
   worker count by default — ``docs/distributed.md``);
-* :mod:`repro.experiments.parallel` — :class:`ParallelRunner` fans
-  replications and parameter sweeps out over a backend, returning
-  picklable :class:`ScenarioRecord` summaries (bit-identical aggregates
-  for any backend and worker count);
+* :mod:`repro.experiments.parallel` — :func:`run_grids`, the one entry
+  point that runs ``(specs, seeds)`` grids over a backend as one
+  interleaved batch, returning picklable :class:`ScenarioRecord`
+  summaries (bit-identical aggregates for any backend and worker
+  count);
 * :mod:`repro.experiments.presets` — paper-scale seed presets
   (``PAPER_LINEAR=20``, ``PAPER_RANDOM=10``, smoke presets for CI),
   :func:`figure_job` (a figure or workload's registry entry by name)
@@ -83,7 +85,6 @@ from repro.experiments.scenarios import (
     mobile_scenario,
     testbed_scenario,
 )
-from repro.experiments.runner import average_metrics, confidence_interval, replicate
 from repro.experiments.backends import (
     AsyncBackend,
     ExecutorBackend,
@@ -95,11 +96,12 @@ from repro.experiments.backends import (
     workers_from_env,
 )
 from repro.experiments.parallel import (
-    ParallelRunner,
     ScenarioRecord,
     ScenarioSpec,
+    run_grids,
     spawn_seeds,
 )
+from repro.experiments.runner import average_metrics, confidence_interval, replicate
 from repro.experiments.figures import ALL_FIGURES, METRIC_FIGURES, TRACE_FIGURES
 from repro.experiments.workloads import WORKLOAD_JOBS
 from repro.experiments.presets import (
@@ -141,7 +143,7 @@ __all__ = [
     "shared_backend",
     "close_shared_backends",
     "workers_from_env",
-    "ParallelRunner",
+    "run_grids",
     "ScenarioRecord",
     "ScenarioSpec",
     "spawn_seeds",

@@ -53,8 +53,8 @@ submission order, **aggregates are bit-identical no matter which backend
 ran them**.  ``tests/test_backends.py`` pins that cross-backend.
 
 That same contract is what makes batched multi-figure submission safe:
-:meth:`~repro.experiments.parallel.ParallelRunner.run_grids` interleaves
-several figures' cells into one :meth:`ExecutorBackend.map` call and
+:func:`~repro.experiments.parallel.run_grids` interleaves several
+figures' cells into one :meth:`ExecutorBackend.imap` call and
 demultiplexes the ordered results back per figure, so a full-paper run
 is a single drain of a single pool regardless of backend.
 """
@@ -68,7 +68,7 @@ from abc import ABC, abstractmethod
 from types import TracebackType
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
 
-from repro.experiments.remote import parse_endpoint
+from repro.experiments.remote import authkey_from_env, parse_endpoint
 from repro.experiments.scheduler import AsyncCellError, AsyncScheduler
 
 _T = TypeVar("_T")
@@ -203,20 +203,19 @@ class ExecutorBackend(ABC):
         """Bump :attr:`tasks_submitted` (subclasses call this once per batch)."""
         self.tasks_submitted += count
 
-    @abstractmethod
     def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
         """Apply ``fn`` to every item and return the results in order."""
+        return list(self.imap(fn, items))
 
     @abstractmethod
     def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
         """Yield ``fn(item)`` results **in item order** as they complete.
 
-        The streaming counterpart of :meth:`map`, consumed by the
-        harness's per-cell progress reporting
-        (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`
-        with a ``progress=`` callback).  The ordering contract is the
-        same as :meth:`map`'s; only the delivery is incremental, so a
-        caller can observe completion counts while the batch runs.
+        The streaming form of :meth:`map`, and what
+        :func:`~repro.experiments.parallel.run_grids` consumes: the
+        ordering contract is the same, only the delivery is
+        incremental, so a caller can report and persist each cell while
+        the batch runs.
         """
 
     def close(self) -> None:  # noqa: B027 - intentionally optional: poolless backends need no teardown
@@ -254,11 +253,6 @@ class SerialBackend(ExecutorBackend):
 
     def __init__(self) -> None:
         self.workers = 1
-
-    def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
-        items = list(items)
-        self._record_submission(len(items))
-        return [fn(item) for item in items]
 
     def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
         """True streaming: each task runs when its result is consumed."""
@@ -304,7 +298,9 @@ class AsyncBackend(ExecutorBackend):
     one agent per address (start each with ``python -m
     repro.experiments.remote --listen host:port``), validated up front
     by :func:`repro.experiments.remote.parse_endpoint` — a malformed
-    endpoint raises :class:`ValueError` before anything connects.  The
+    endpoint raises :class:`ValueError` before anything connects, and so
+    does a missing ``REPRO_ASYNC_AUTHKEY``: agents and client must share
+    that key (:func:`repro.experiments.remote.authkey_from_env`).  The
     same dispatch loop drives both transports, so retry, steal, timeout
     and respawn semantics — and bit-identical aggregates — are
     transport-agnostic.  ``workers`` defaults to one per address and
@@ -322,9 +318,10 @@ class AsyncBackend(ExecutorBackend):
     ``window`` defaults to ``2 * workers`` and is clamped to at least
     ``workers``; ``steal_after`` is the straggler age (seconds) before
     an idle worker duplicates it; ``connect_timeout`` bounds each remote
-    connection attempt.  ``stats`` exposes cumulative scheduler counters
-    (``retries``, ``steals``, ``respawns``, ``timeouts``, ``failures``)
-    for tests and diagnostics.  See ``docs/distributed.md`` for the full
+    connection attempt, authentication included.  ``stats`` exposes
+    cumulative scheduler counters (``retries``, ``steals``,
+    ``respawns``, ``timeouts``, ``failures``) for tests and
+    diagnostics.  See ``docs/distributed.md`` for the full
     architecture notes.
     """
 
@@ -350,8 +347,10 @@ class AsyncBackend(ExecutorBackend):
             endpoint = async_endpoint_from_env()
         self.endpoint = endpoint
         endpoints: Optional[List[Tuple[str, int]]] = None
+        authkey = b""
         if endpoint is not None:
             endpoints = parse_endpoint(endpoint)
+            authkey = authkey_from_env()
             if workers is None:
                 workers = len(endpoints)
             elif workers != len(endpoints):
@@ -382,6 +381,7 @@ class AsyncBackend(ExecutorBackend):
             task_timeout=task_timeout,
             steal_after=steal_after,
             endpoints=endpoints,
+            authkey=authkey,
             connect_timeout=connect_timeout,
         )
 
@@ -400,9 +400,6 @@ class AsyncBackend(ExecutorBackend):
 
     def close(self) -> None:
         self._scheduler.close()
-
-    def map(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> List[_T]:
-        return list(self.imap(fn, items))
 
     def imap(self, fn: Callable[[Any], _T], items: Iterable[Any]) -> Iterator[_T]:
         """Stream results in item order as the submission frontier completes."""

@@ -24,7 +24,7 @@ job:
   ``aggregate`` turning record groups into rows.  The split is what
   lets ``run_paper`` batch **every** figure's cells into one
   interleaved pool submission
-  (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`).  To
+  (:func:`~repro.experiments.parallel.run_grids`).  To
   run one figure on its own, call ``figure9_plan(**params).run(seeds,
   workers=…, backend=…)``: ``workers`` defaults to the shared
   persistent :class:`~repro.experiments.backends.AsyncBackend` pool
@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.core.config import CachePolicy, FeedbackMode, JTPConfig
 from repro.experiments.backends import ExecutorBackend
-from repro.experiments.parallel import ParallelRunner, ScenarioRecord, ScenarioSpec
+from repro.experiments.parallel import ScenarioRecord, ScenarioSpec, run_grids
 from repro.plots.spec import AxesSpec, PlotSpec
 from repro.experiments.runner import confidence_interval
 from repro.experiments.scenarios import (
@@ -72,13 +72,13 @@ class FigurePlan:
     """A metric figure split into its grid and its aggregation.
 
     ``specs`` lists one :class:`ScenarioSpec` per figure cell and
-    ``aggregate`` turns the per-spec record groups that
-    :meth:`~repro.experiments.parallel.ParallelRunner.run_grid` returns
-    into the figure's rows.  The split is what lets
+    ``aggregate`` turns the per-spec record groups of one grid of
+    :func:`~repro.experiments.parallel.run_grids` into the figure's
+    rows.  The split is what lets
     :func:`~repro.experiments.presets.run_paper` batch every figure's
     grid into **one** pool submission: plans are built up front, every
     plan's specs go down together via
-    :meth:`~repro.experiments.parallel.ParallelRunner.run_grids`, and
+    :func:`~repro.experiments.parallel.run_grids`, and
     each figure's ``aggregate`` consumes its own demultiplexed slice —
     producing rows bit-identical to a standalone :meth:`run`.
 
@@ -97,7 +97,7 @@ class FigurePlan:
         backend: Optional[ExecutorBackend] = None,
     ) -> List[Row]:
         """Execute the plan's grid on one backend and aggregate the rows."""
-        groups = ParallelRunner(workers, backend).run_grid(list(self.specs), list(seeds))
+        groups = run_grids([(self.specs, seeds)], workers=workers, backend=backend)[0]
         return self.aggregate(groups)
 
 

@@ -28,7 +28,7 @@ re-hardcoded by every driver:
   planned up front (:class:`~repro.experiments.figures.FigurePlan`) and
   their grids submitted as **one batched, interleaved stream** over a
   single shared executor backend
-  (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`), so
+  (:func:`~repro.experiments.parallel.run_grids`), so
   short cells from one figure keep workers busy while another figure's
   long cells run and the pool never drains at a figure boundary.  The
   serial trace figures (3c, 5, 7, 8) run in-process behind the same
@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.experiments.backends import ExecutorBackend, resolve_backend
 from repro.experiments.figures import ALL_FIGURES, FigureJob
-from repro.experiments.parallel import ParallelRunner, ScenarioRecord, ScenarioSpec, spawn_seeds
+from repro.experiments.parallel import ScenarioRecord, ScenarioSpec, run_grids, spawn_seeds
 from repro.experiments.results import CellStore, PathLike, cell_key, git_metadata, save_run
 from repro.experiments.workloads import WORKLOAD_JOBS
 
@@ -167,7 +167,7 @@ def run_paper(
     ``seeds`` is a preset name (``"paper"``/``"smoke"``), a replication
     count, or an explicit seed list; ``backend``/``workers`` select the
     executor exactly as in
-    :class:`~repro.experiments.parallel.ParallelRunner` (pass at most
+    :func:`~repro.experiments.parallel.run_grids` (pass at most
     one — the default is the shared persistent
     :class:`~repro.experiments.backends.AsyncBackend` pool).
     ``overrides`` maps figure names to extra keyword arguments, applied
@@ -175,7 +175,7 @@ def run_paper(
 
     The metric figures are planned first and all their cells submitted
     to the backend as **one** interleaved task stream
-    (:meth:`~repro.experiments.parallel.ParallelRunner.run_grids`), so
+    (:func:`~repro.experiments.parallel.run_grids`), so
     the pool never drains between figures; each figure's rows are then
     aggregated from its demultiplexed slice — bit-identical to running
     each figure's plan on its own.  The trace figures (3c, 5, 7, 8) run
@@ -320,8 +320,9 @@ def run_paper(
                 def grid_progress(grid_index: int, completed: int, total: int) -> None:
                     progress(names[grid_index], completed, total)
 
-            grouped = ParallelRunner(backend=resolved).run_grids(
+            grouped = run_grids(
                 [(plan.specs, seed_list) for _, plan, seed_list in planned],
+                backend=resolved,
                 progress=grid_progress,
                 reuse=reuse,
                 on_result=on_result,

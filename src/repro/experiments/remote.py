@@ -3,27 +3,31 @@
 This module takes the async scheduler beyond one machine.  It owns three
 things:
 
-* **The wire protocol.**  Length-prefixed pickle frames over TCP: every
-  frame is a 4-byte big-endian payload length followed by the pickle of
-  a ``(kind, ...)`` tuple.  Frame kinds: ``("hello", version, pid)``
-  (agent -> client, immediately after connect; the protocol-version
-  check lives here), ``("task", seq, token, fn_bytes, item)`` (client ->
-  agent), ``("result", seq, ok, payload)`` (agent -> client),
-  ``("heartbeat",)`` (agent -> client while a cell runs, so a silent
-  connection is distinguishable from a dead one), and ``("bye",)``
-  (client -> agent, graceful goodbye).  A frame that does not decode, or
-  whose advertised length is absurd, is a :class:`ProtocolError` — both
-  sides treat the connection as dead rather than guessing.
+* **The wire.**  A TCP connection is wrapped as the same stdlib
+  :class:`multiprocessing.connection.Connection` that local workers use
+  over a pipe, so both transports exchange exactly
+  :func:`worker_loop`'s messages: ``(seq, token, fn_bytes, item)`` out,
+  ``(seq, ok, payload)`` back.  Before any message, both ends run the
+  stdlib HMAC challenge in each direction with the shared key from
+  ``REPRO_ASYNC_AUTHKEY`` (:func:`authkey_from_env`), so no byte from an
+  unauthenticated peer ever reaches ``pickle.loads``.  The first message
+  after authentication is the agent's ``(version, pid)`` hello; a
+  different :data:`PROTOCOL_VERSION` fails the connection loudly.  A
+  message that does not decode, has the wrong shape or advertises more
+  than :data:`MAX_FRAME_BYTES` is a :class:`ProtocolError`, and both
+  sides treat the connection as dead rather than guessing.  Closing the
+  connection is the goodbye.
 
 * **The transport abstraction.**  :class:`WorkerTransport` is one worker
   slot as :class:`~repro.experiments.scheduler.AsyncScheduler` sees it:
   send a task, poll/recv replies, wait handles for the multiplexer,
-  liveness, kill, respawn.  :class:`LocalProcessTransport` is the
-  historical local child process + duplex pipe;
-  :class:`TcpTransport` is the client side of the TCP protocol
-  (lazy connect + hello handshake; ``kill`` closes the connection, which
-  is the remote kill switch — the agent aborts the in-flight cell on
-  disconnect).  The scheduler drives both through the same dispatch
+  liveness, kill, respawn.  ``send``/``poll``/``recv``/``wait_handles``
+  live on the base class, over ``self.conn``.
+  :class:`LocalProcessTransport` is a local child process plus a duplex
+  pipe; :class:`TcpTransport` is the client side of the TCP wire (lazy
+  connect + authentication + hello; ``kill`` closes the connection,
+  which is the remote kill switch — the agent aborts the in-flight cell
+  on disconnect).  The scheduler drives both through the same dispatch
   loop, which is what makes the fault-injection suite
   (``tests/test_async_backend.py``) a cross-transport contract.
 
@@ -36,12 +40,10 @@ things:
   stays up across client connections, so scheduler-side reconnects
   (retry after a drop, timeout kill) just work.
 
-**Security note:** the protocol is pickle over a plain TCP socket —
-deserialising a frame can execute arbitrary code, and there is no
-authentication or encryption.  Run agents only on trusted networks
-(a lab cluster, an SSH-tunnelled link), exactly like
-``multiprocessing.connection`` listeners.  ``docs/distributed.md``
-documents the protocol, the reconnect/retry semantics and this caveat.
+**Security note:** traffic is authenticated but not encrypted.  Anyone
+holding the key can run code on the agent, and anyone on the path can
+read the cells and results.  ``docs/distributed.md`` documents the
+wire, the reconnect/retry semantics and how to provide the key.
 
 This module is deliberately dependency-free within the repo (stdlib
 only; the layer DAG pins ``experiments.remote`` beneath
@@ -54,50 +56,53 @@ from __future__ import annotations
 import argparse
 import itertools
 import multiprocessing
+import os
 import pickle
-import select
 import socket
 import struct
+import sys
 import threading
-import time
 import traceback
 from abc import ABC, abstractmethod
 from contextlib import suppress
-from multiprocessing.connection import Connection
+from multiprocessing import AuthenticationError
+from multiprocessing.connection import Connection, answer_challenge, deliver_challenge
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "AUTHKEY_ENV",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "WorkerTransport",
     "LocalProcessTransport",
     "TcpTransport",
     "WorkerAgent",
+    "authkey_from_env",
     "parse_endpoint",
     "main",
 ]
 
-#: Version stamped into every hello frame.  A client refuses to talk to
-#: an agent speaking a different version — failing the handshake loudly
-#: beats misinterpreting frames.
-PROTOCOL_VERSION = 1
+#: Version carried by the agent's hello.  A client refuses to talk to an
+#: agent speaking a different version — failing the handshake loudly
+#: beats misinterpreting messages.
+PROTOCOL_VERSION = 2
 
-#: 4-byte big-endian frame-length prefix.
-_HEADER = struct.Struct(">I")
+#: The environment variable holding the shared key of agents and clients.
+AUTHKEY_ENV = "REPRO_ASYNC_AUTHKEY"
 
-#: Upper bound on one frame's payload.  Anything larger is a peer that
-#: is not speaking this protocol (e.g. the length prefix was read out
-#: of garbage bytes), not a legitimate task or result.
+#: Upper bound on one message.  Anything larger is a peer that is not
+#: speaking this protocol, not a legitimate task or result.
 MAX_FRAME_BYTES = 1 << 30
 
-#: Per-recv socket timeout once a connection is established.  Reads are
-#: poll-gated, so this only bounds how long a *partially delivered*
-#: frame may stall a reader before the connection is declared dead.
+#: Kernel-side bound on every read and write once a connection is
+#: established.  Reads are poll-gated, so this only bounds how long a
+#: *partially delivered* message may stall a reader before the
+#: connection is declared dead.
 _FRAME_TIMEOUT = 30.0
 
 #: Granularity of the agent's accept loop and serve loop: how often it
-#: re-checks its stop flag and the heartbeat clock.
+#: re-checks its stop flag.
 _SERVE_TICK = 0.2
 
 #: A task in flight to a worker: ``(seq, token, fn_bytes, item)``.
@@ -107,8 +112,24 @@ TaskMessage = Tuple[int, int, bytes, Any]
 ReplyMessage = Tuple[int, bool, Any]
 
 
-class ProtocolError(RuntimeError):
-    """The peer sent bytes that are not a valid protocol frame."""
+class ProtocolError(OSError):
+    """The peer sent a message that is not valid on this wire."""
+
+
+def authkey_from_env() -> bytes:
+    """The shared key from ``REPRO_ASYNC_AUTHKEY``; :class:`ValueError` if unset.
+
+    Agents and clients both read it here.  There is no unauthenticated
+    mode: every TCP peer must prove it holds the same key before either
+    side unpickles anything it sends.
+    """
+    value = os.environ.get(AUTHKEY_ENV, "").strip()
+    if not value:
+        raise ValueError(
+            f"{AUTHKEY_ENV} is not set; TCP workers and their clients authenticate "
+            "with a shared key (e.g. python -c 'import secrets; print(secrets.token_hex(16))')"
+        )
+    return value.encode()
 
 
 # -- endpoint parsing ---------------------------------------------------------------------
@@ -172,42 +193,55 @@ def parse_endpoint(endpoint: str) -> List[Tuple[str, int]]:
     return addresses
 
 
-# -- frame I/O ----------------------------------------------------------------------------
+# -- the wire -----------------------------------------------------------------------------
 
 
-def _send_frame(sock: socket.socket, frame: Tuple[Any, ...]) -> None:
-    """Pickle ``frame`` and write it with its length prefix."""
-    body = pickle.dumps(frame)
-    sock.sendall(_HEADER.pack(len(body)) + body)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks: List[bytes] = []
-    while count:
-        chunk = sock.recv(min(count, 1 << 20))
-        if not chunk:
-            raise EOFError("connection closed mid-frame")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(sock: socket.socket) -> Tuple[Any, ...]:
-    """Read one frame; :class:`ProtocolError` if the bytes are not one."""
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame length {length} exceeds {MAX_FRAME_BYTES}; "
-            "the peer is not speaking the repro worker protocol"
-        )
-    body = _recv_exact(sock, length)
+def _wrap_socket(sock: socket.socket, timeout: float) -> Connection:
+    """Hand a connected socket to a :class:`Connection` with kernel I/O timeouts."""
+    # Connection reads and writes the raw fd, so the fd must be blocking;
+    # SO_RCVTIMEO/SO_SNDTIMEO then make a stalled read or write raise
+    # BlockingIOError instead of hanging.
+    sock.settimeout(None)
+    conn = Connection(sock.detach())
     try:
-        frame = pickle.loads(body)
+        _set_io_timeout(conn, timeout)
+    except OSError:
+        conn.close()
+        raise
+    return conn
+
+
+def _set_io_timeout(conn: Connection, seconds: float) -> None:
+    timeval = struct.pack("ll", int(seconds), int(seconds % 1 * 1_000_000))
+    with socket.socket(fileno=os.dup(conn.fileno())) as view:
+        view.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        view.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+
+
+def _authenticate(conn: Connection, authkey: bytes, *, serving: bool) -> None:
+    """The mutual HMAC challenge that ``Listener.accept``/``Client`` run."""
+    try:
+        if serving:
+            deliver_challenge(conn, authkey)
+            answer_challenge(conn, authkey)
+        else:
+            answer_challenge(conn, authkey)
+            deliver_challenge(conn, authkey)
+    except (AssertionError, AuthenticationError, EOFError, OSError) as exc:
+        # Before Python 3.12, answer_challenge asserts on a malformed challenge.
+        raise AuthenticationError(f"authentication failed: {exc!r}") from None
+
+
+def _recv_message(conn: Connection, size: int, what: str) -> Tuple[Any, ...]:
+    """One ``size``-tuple from ``conn``; :class:`ProtocolError` for anything else."""
+    data = conn.recv_bytes(MAX_FRAME_BYTES)
+    try:
+        message = pickle.loads(data)
     except Exception as exc:
-        raise ProtocolError(f"undecodable frame: {exc!r}") from None
-    if not isinstance(frame, tuple) or not frame or not isinstance(frame[0], str):
-        raise ProtocolError(f"malformed frame: {frame!r}")
-    return frame
+        raise ProtocolError(f"undecodable {what} message: {exc!r}") from None
+    if not isinstance(message, tuple) or len(message) != size:
+        raise ProtocolError(f"malformed {what} message: {message!r:.200}")
+    return message
 
 
 # -- the worker-side execution loop -------------------------------------------------------
@@ -268,34 +302,43 @@ class WorkerTransport(ABC):
     ``current`` is the in-flight assignment ``(index, seq, started)`` or
     ``None`` when idle; the globally unique ``seq`` is what lets the
     dispatcher discard stale results (from a stolen task's losing copy,
-    or from a batch that was aborted mid-flight).  Implementations own
-    the mechanics — a child process and pipe, or a TCP connection to a
-    remote agent — behind the same seven verbs, so the scheduler's
-    policy (window, stealing, retry, respawn) is transport-agnostic.
+    or from a batch that was aborted mid-flight).  ``conn`` is the
+    :class:`Connection` to the worker (``None`` until a TCP transport
+    connects, and after it is killed).  Subclasses own the mechanics — a
+    child process and pipe, or a TCP connection to a remote agent —
+    behind the same verbs, so the scheduler's policy (window, stealing,
+    retry, respawn) is transport-agnostic.
     """
 
     def __init__(self) -> None:
         self.current: Optional[Tuple[int, int, float]] = None
+        self.conn: Optional[Connection] = None
 
-    @abstractmethod
     def send(self, task: TaskMessage) -> None:
         """Dispatch one task; raises ``OSError`` if the worker is unreachable."""
+        if self.conn is None:
+            raise OSError(f"{self.describe()} is not connected")
+        self.conn.send(task)
 
-    @abstractmethod
     def poll(self) -> bool:
         """Whether :meth:`recv` would return without blocking."""
+        return self.conn is not None and bool(self.conn.poll())
 
-    @abstractmethod
-    def recv(self) -> Optional[ReplyMessage]:
-        """One reply, or ``None`` for a control frame (heartbeat) to skip.
+    def recv(self) -> ReplyMessage:
+        """One reply.
 
-        Raises ``EOFError``/``OSError`` when the worker is gone; callers
-        treat either as the death of this transport.
+        Raises ``EOFError``/``OSError`` (:class:`ProtocolError` included)
+        when the worker is gone or misbehaves; callers treat either as
+        the death of this transport.
         """
+        if self.conn is None:
+            raise EOFError(f"{self.describe()} is not connected")
+        seq, ok, payload = _recv_message(self.conn, 3, "reply")
+        return int(seq), bool(ok), payload
 
-    @abstractmethod
     def wait_handles(self) -> List[Any]:
         """Objects for ``multiprocessing.connection.wait`` that wake the loop."""
+        return [] if self.conn is None else [self.conn]
 
     @abstractmethod
     def is_alive(self) -> bool:
@@ -338,20 +381,10 @@ class LocalProcessTransport(WorkerTransport):
         self.process = ctx.Process(target=worker_loop, args=(child_conn,), daemon=True, name=name)
         self.process.start()
         child_conn.close()
-        self.conn: Connection = parent_conn
-
-    def send(self, task: TaskMessage) -> None:
-        self.conn.send(task)
-
-    def poll(self) -> bool:
-        return bool(self.conn.poll())
-
-    def recv(self) -> Optional[ReplyMessage]:
-        seq, ok, payload = self.conn.recv()
-        return int(seq), bool(ok), payload
+        self.conn = parent_conn
 
     def wait_handles(self) -> List[Any]:
-        return [self.conn, self.process.sentinel]
+        return [*super().wait_handles(), self.process.sentinel]
 
     def is_alive(self) -> bool:
         return bool(self.process.is_alive())
@@ -375,8 +408,7 @@ class LocalProcessTransport(WorkerTransport):
         # repro: allow[EXC001] best-effort teardown; double-terminate test pins safety
         with suppress(Exception):
             self.process.join(timeout=2.0)
-        # repro: allow[EXC001] best-effort teardown; double-terminate test pins safety
-        with suppress(Exception):
+        if self.conn is not None:
             self.conn.close()
 
     def respawn(self) -> "LocalProcessTransport":
@@ -391,114 +423,73 @@ class LocalProcessTransport(WorkerTransport):
 
 
 class TcpTransport(WorkerTransport):
-    """Client side of the TCP worker protocol: one connection to one agent.
+    """Client side of the TCP wire: one authenticated connection to one agent.
 
     The connection is opened lazily on the first :meth:`send` (so merely
-    constructing a backend never touches the network) and begins with
-    the hello handshake: the agent speaks first, the client checks the
-    protocol version, and any other opening — silence past
-    ``connect_timeout``, a different version, garbage — fails the
-    connection loudly.  Once marked dead a transport never reconnects;
-    the scheduler replaces it via :meth:`respawn`, which is how retry
-    backoff paces reconnection attempts.  :meth:`kill` closes the
-    socket, which doubles as the remote kill switch: the agent aborts
-    the in-flight cell when its client vanishes.
+    constructing a backend never touches the network).  Opening it runs
+    the HMAC challenge in both directions with ``authkey``, then reads
+    the agent's ``(version, pid)`` hello; ``connect_timeout`` bounds the
+    connect and every read and write of that exchange.  Any other
+    opening — silence, a wrong key, a different version, garbage —
+    fails the connection loudly.  Once marked dead a transport never
+    reconnects; the scheduler replaces it via :meth:`respawn`, which is
+    how retry backoff paces reconnection attempts.  :meth:`kill` closes
+    the connection, which doubles as the remote kill switch: the agent
+    aborts the in-flight cell when its client vanishes.
     """
 
-    def __init__(self, host: str, port: int, connect_timeout: float = 5.0) -> None:
+    def __init__(self, host: str, port: int, authkey: bytes, connect_timeout: float = 5.0) -> None:
         super().__init__()
         self.host = host
         self.port = int(port)
+        self.authkey = authkey
         self.connect_timeout = float(connect_timeout)
-        self._sock: Optional[socket.socket] = None
         self._dead = False
         self._pid: Optional[int] = None
 
-    def _connect(self) -> socket.socket:
+    def _connect(self) -> Connection:
         try:
             sock = socket.create_connection((self.host, self.port), timeout=self.connect_timeout)
         except OSError as exc:
             self._dead = True
             raise OSError(f"could not connect to {self.describe()}: {exc}") from exc
+        conn = _wrap_socket(sock, self.connect_timeout)
         try:
-            hello = _recv_frame(sock)
-            if hello[0] != "hello" or len(hello) != 3:
-                raise ProtocolError(f"expected a hello frame, got {hello!r}")
-            _, version, pid = hello
+            _authenticate(conn, self.authkey, serving=False)
+            version, pid = _recv_message(conn, 2, "hello")
             if version != PROTOCOL_VERSION:
                 raise ProtocolError(
                     f"protocol version mismatch: agent speaks v{version}, "
                     f"this client speaks v{PROTOCOL_VERSION}"
                 )
-            self._pid = None if pid is None else int(pid)
-        except (EOFError, OSError, ProtocolError) as exc:
-            with suppress(OSError):
-                sock.close()
+            _set_io_timeout(conn, _FRAME_TIMEOUT)
+        except (EOFError, OSError, AuthenticationError) as exc:
+            conn.close()
             self._dead = True
             raise OSError(f"handshake with {self.describe()} failed: {exc}") from exc
-        sock.settimeout(_FRAME_TIMEOUT)
-        self._sock = sock
-        return sock
+        self._pid = None if pid is None else int(pid)
+        return conn
 
     def send(self, task: TaskMessage) -> None:
         if self._dead:
             raise OSError(f"{self.describe()} is marked dead; awaiting respawn")
-        sock = self._sock if self._sock is not None else self._connect()
-        try:
-            _send_frame(sock, ("task", *task))
-        except OSError:
-            self._dead = True
-            raise
-
-    def poll(self) -> bool:
-        if self._sock is None:
-            return False
-        readable, _, _ = select.select([self._sock], [], [], 0)
-        return bool(readable)
-
-    def recv(self) -> Optional[ReplyMessage]:
-        if self._sock is None:
-            raise EOFError(f"{self.describe()} is not connected")
-        try:
-            frame = _recv_frame(self._sock)
-        except EOFError:
-            self._dead = True
-            raise
-        except (ProtocolError, OSError) as exc:
-            self._dead = True
-            raise OSError(f"{self.describe()}: {exc}") from exc
-        if frame[0] == "result" and len(frame) == 4:
-            _, seq, ok, payload = frame
-            return int(seq), bool(ok), payload
-        if frame[0] == "heartbeat":
-            return None
-        self._dead = True
-        raise OSError(f"unexpected {frame[0]!r} frame from {self.describe()}")
-
-    def wait_handles(self) -> List[Any]:
-        return [] if self._sock is None else [self._sock]
+        if self.conn is None:
+            self.conn = self._connect()
+        super().send(task)
 
     def is_alive(self) -> bool:
         return not self._dead
 
     def kill(self) -> None:
         self._dead = True
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            with suppress(OSError):
-                sock.close()
+        conn, self.conn = self.conn, None
+        if conn is not None:
+            conn.close()
 
-    def terminate(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            with suppress(OSError):
-                _send_frame(sock, ("bye",))
-            with suppress(OSError):
-                sock.close()
-        self._dead = True
+    terminate = kill
 
     def respawn(self) -> "TcpTransport":
-        return TcpTransport(self.host, self.port, self.connect_timeout)
+        return TcpTransport(self.host, self.port, self.authkey, self.connect_timeout)
 
     @property
     def pid(self) -> Optional[int]:
@@ -521,11 +512,12 @@ class WorkerAgent:
     reported to the client as a failed attempt and the child is
     respawned, and a client that disconnects mid-cell (timeout kill,
     scheduler abort) has its cell killed rather than left burning CPU.
-    While a cell runs, the agent emits ``heartbeat`` frames every
-    ``heartbeat_interval`` seconds so the client can tell a long cell
-    from a dead link.  The listener stays up across client connections,
-    which is what makes scheduler-side reconnects (retry after a drop)
-    work against the same agent.
+    A client that fails the HMAC challenge is logged to stderr and
+    dropped before anything it sent is unpickled.  The listener stays
+    up across client connections, which is what makes scheduler-side
+    reconnects (retry after a drop) work against the same agent.  The
+    key comes from ``REPRO_ASYNC_AUTHKEY``; construction raises
+    :class:`ValueError` without it.
 
     Programmatic use (tests, embedding)::
 
@@ -538,8 +530,8 @@ class WorkerAgent:
     CLI entry point is :func:`main`.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *, heartbeat_interval: float = 2.0) -> None:
-        self.heartbeat_interval = float(heartbeat_interval)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        self._authkey = authkey_from_env()
         # The execution child MUST use the spawn start method.  A forked
         # child would inherit every open fd — including the client
         # socket — so a duplicate of the connection would survive in the
@@ -594,21 +586,22 @@ class WorkerAgent:
         try:
             while not self._stop.is_set():
                 try:
-                    client, _addr = self._listener.accept()
+                    client, addr = self._listener.accept()
                 except socket.timeout:
                     continue
                 except OSError:
                     break  # listener closed by stop()
-                try:
-                    self._serve_client(client)
-                finally:
-                    with suppress(OSError):
-                        client.close()
+                with _wrap_socket(client, _FRAME_TIMEOUT) as conn:
+                    self._serve_client(conn, addr)
         finally:
             self._teardown_child()
 
-    def _serve_client(self, client: socket.socket) -> None:
-        client.settimeout(_FRAME_TIMEOUT)
+    def _serve_client(self, client: Connection, addr: Any) -> None:
+        try:
+            _authenticate(client, self._authkey, serving=True)
+        except AuthenticationError as exc:
+            print(f"repro worker agent: rejected {addr}: {exc}", file=sys.stderr, flush=True)
+            return
         busy: Optional[int] = None
         try:
             # Every client session gets a fresh execution child.  Batch
@@ -618,8 +611,7 @@ class WorkerAgent:
             # the wrong function.
             self._teardown_child()
             child = self._ensure_child()
-            _send_frame(client, ("hello", PROTOCOL_VERSION, child.pid))
-            last_send = time.monotonic()
+            client.send((PROTOCOL_VERSION, child.pid))
             while not self._stop.is_set():
                 # A dead child (the cell SIGKILLed itself, OOM) is handled
                 # here, at the top, so a death is never masked by a respawn:
@@ -631,45 +623,24 @@ class WorkerAgent:
                         busy = self._relay_replies(client, child, busy)
                     self._teardown_child()
                     if busy is not None:
-                        _send_frame(
-                            client,
-                            ("result", busy, False, "worker process died mid-cell (remote)"),
-                        )
+                        client.send((busy, False, "worker process died mid-cell (remote)"))
                         busy = None
-                        last_send = time.monotonic()
                     child = self._ensure_child()
-                ready = connection_wait(
-                    [client, child.conn, child.process.sentinel], _SERVE_TICK
-                )
+                ready = connection_wait(child.wait_handles() + [client], _SERVE_TICK)
                 # 1. Relay finished cells before anything else, so a
                 #    reply buffered just before a crash is not lost.
                 if child.conn in ready:
                     busy = self._relay_replies(client, child, busy)
-                    last_send = time.monotonic()
                 # 2. The sentinel fired: loop back so the death handler
                 #    above runs against this same child before any respawn.
                 if not child.is_alive():
                     continue
-                # 3. Client frames: tasks in, plus goodbye/garbage out.
+                # 3. The next task from the client.
                 if client in ready:
-                    frame = _recv_frame(client)
-                    if frame[0] == "task" and len(frame) == 5:
-                        _, seq, token, fn_bytes, item = frame
-                        child.send((int(seq), int(token), fn_bytes, item))
-                        busy = int(seq)
-                    elif frame[0] == "heartbeat":
-                        pass
-                    elif frame[0] == "bye":
-                        return
-                    else:
-                        raise ProtocolError(f"unexpected {frame[0]!r} frame from client")
-                # 4. Heartbeat while a cell runs, so the client can tell
-                #    a long cell from a dead link.
-                now = time.monotonic()
-                if busy is not None and now - last_send >= self.heartbeat_interval:
-                    _send_frame(client, ("heartbeat",))
-                    last_send = now
-        except (EOFError, OSError, ProtocolError):
+                    seq, token, fn_bytes, item = _recv_message(client, 4, "task")
+                    child.send((int(seq), int(token), fn_bytes, item))
+                    busy = int(seq)
+        except (EOFError, OSError):
             # The client vanished or spoke garbage.  Either way this
             # connection is over; fall through to the abort below.
             pass
@@ -680,9 +651,9 @@ class WorkerAgent:
                 self._teardown_child()
 
     def _relay_replies(
-        self, client: socket.socket, child: LocalProcessTransport, busy: Optional[int]
+        self, client: Connection, child: LocalProcessTransport, busy: Optional[int]
     ) -> Optional[int]:
-        """Forward every buffered child reply to the client as result frames."""
+        """Forward every buffered child reply to the client."""
         while True:
             try:
                 if not child.poll():
@@ -690,14 +661,11 @@ class WorkerAgent:
                 reply = child.recv()
             except (EOFError, OSError):
                 return busy  # child pipe died: the liveness check respawns it
-            if reply is None:
-                continue
-            seq, ok, payload = reply
-            if busy == seq:
+            if busy == reply[0]:
                 busy = None
-            # A send failure here is the *client* socket dying; let it
-            # propagate so the outer handler aborts this connection.
-            _send_frame(client, ("result", seq, ok, payload))
+            # A send failure here is the *client* connection dying; let
+            # it propagate so the outer handler aborts this connection.
+            client.send(reply)
 
     # -- child management -----------------------------------------------------------------
 
@@ -724,8 +692,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.experiments.remote",
         description=(
             "Standalone TCP worker agent for AsyncBackend(endpoint=...). "
-            "Speaks the length-prefixed pickle protocol (see docs/distributed.md); "
-            "run only on trusted networks."
+            f"Clients must hold the same {AUTHKEY_ENV} key (see docs/distributed.md)."
         ),
     )
     parser.add_argument(
@@ -733,13 +700,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         required=True,
         metavar="HOST:PORT",
         help="address to listen on (port 0 picks an ephemeral port, printed at startup)",
-    )
-    parser.add_argument(
-        "--heartbeat",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="heartbeat interval while a cell is running (default: 2.0)",
     )
     args = parser.parse_args(None if argv is None else list(argv))
     host, sep, port_text = args.listen.rpartition(":")
@@ -749,7 +709,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         port = int(port_text)
     except ValueError:
         parser.error(f"--listen port must be an integer, got {port_text!r}")
-    agent = WorkerAgent(host.strip("[]"), port, heartbeat_interval=args.heartbeat)
+    try:
+        agent = WorkerAgent(host.strip("[]"), port)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(
         f"repro worker agent listening on tcp://{agent.host}:{agent.port} "
         f"(protocol v{PROTOCOL_VERSION})",

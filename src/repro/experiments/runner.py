@@ -3,24 +3,25 @@
 The paper averages its linear-topology results over twenty independent
 runs (and its random-topology results over ten) and reports 95%
 confidence intervals.  :func:`replicate` runs a scenario builder over a
-list of seeds — serially with ``workers=0`` or ``1`` (the default),
-returning live results, or fanned out over the shared
-:class:`~repro.experiments.backends.AsyncBackend` worker pool via
-:class:`~repro.experiments.parallel.ParallelRunner` for any other
-worker count — and :func:`average_metrics` / :func:`confidence_interval`
-aggregate the resulting metric values.  The aggregation helpers accept
-both live :class:`~repro.experiments.scenarios.ScenarioResult` objects
-and the picklable :class:`~repro.experiments.parallel.ScenarioRecord`
-summaries that parallel workers return; anything with a ``.metrics``
-attribute works.
+list of seeds through :func:`~repro.experiments.parallel.run_grids` —
+serially in this process with ``workers=0`` or ``1`` (the default), or
+fanned out over the shared
+:class:`~repro.experiments.backends.AsyncBackend` worker pool for any
+other worker count — and always returns picklable
+:class:`~repro.experiments.parallel.ScenarioRecord` summaries, in seed
+order.  :func:`average_metrics` / :func:`confidence_interval` aggregate
+the resulting metric values.  The aggregation helpers accept both
+records and live :class:`~repro.experiments.scenarios.ScenarioResult`
+objects; anything with a ``.metrics`` attribute works.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.experiments.parallel import ScenarioRecord, run_grids
 from repro.experiments.scenarios import ScenarioResult
 
 #: Two-sided 95% critical values of Student's t distribution, indexed by
@@ -61,36 +62,19 @@ def replicate(
     builder: Callable[[int], ScenarioResult],
     seeds: Sequence[int],
     workers: Optional[int] = 1,
-) -> Union[List[ScenarioResult], List["ScenarioRecord"]]:
-    """Run ``builder(seed)`` for every seed and return all results.
+) -> List[ScenarioRecord]:
+    """Run ``builder(seed)`` for every seed; records come back in seed order.
 
-    With ``workers=1`` (the default) or ``workers=0`` the builders run
-    serially in this process and the live :class:`ScenarioResult`
-    objects are returned — exactly the historical semantics the
-    reproducibility tests pin.  Any other value fans the runs out via
-    :class:`~repro.experiments.parallel.ParallelRunner` — ``workers=N``
-    over the shared persistent pool for that count, ``workers=None``
-    over one worker per CPU core (``os.cpu_count()``; a one-core
-    machine executes serially) — and the picklable
-    :class:`~repro.experiments.parallel.ScenarioRecord` summaries come
-    back instead, in seed order.  The fan-out return type does not
-    depend on the machine: ``workers=None`` always yields records, even
-    when ``os.cpu_count()`` resolves to a serial execution.  The
-    aggregation helpers below accept results and records alike.
+    ``workers`` selects the executor as in
+    :func:`~repro.experiments.parallel.run_grids`: ``1`` (the default)
+    or ``0`` run serially in this process and accept any callable;
+    ``workers=N`` uses the shared persistent pool for that count and
+    ``workers=None`` one worker per CPU core (``os.cpu_count()``; a
+    one-core machine executes serially), both of which need a picklable
+    builder such as :class:`~repro.experiments.parallel.ScenarioSpec`.
+    The return type never depends on the worker count.
     """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    if workers is None:
-        # Documented cpu_count fan-out: never shadowed by the serial
-        # live-result path below, which only ``workers=0``/``1`` select.
-        from repro.experiments.parallel import ParallelRunner
-
-        return ParallelRunner(workers=None).replicate(builder, seeds)
-    if workers in (0, 1):
-        return [builder(seed) for seed in seeds]
-    from repro.experiments.parallel import ParallelRunner
-
-    return ParallelRunner(workers=workers).replicate(builder, seeds)
+    return run_grids([([builder], seeds)], workers=workers)[0][0]
 
 
 def metric_values(results: Iterable[ScenarioResult], attribute: str) -> List[float]:

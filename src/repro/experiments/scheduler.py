@@ -160,7 +160,8 @@ class AsyncScheduler:
     ``endpoints=None`` every worker slot is a local child process
     (:class:`~repro.experiments.remote.LocalProcessTransport`);
     otherwise slots are :class:`~repro.experiments.remote.TcpTransport`
-    connections assigned round-robin over the ``(host, port)`` list.
+    connections assigned round-robin over the ``(host, port)`` list,
+    each authenticated with ``authkey``.
     Batches are serialised by an internal lock — the backend's
     ordered-delivery contract has no use for interleaved batches.
     ``stats`` accumulates scheduling events (``retries``, ``steals``,
@@ -181,12 +182,14 @@ class AsyncScheduler:
         task_timeout: Optional[float],
         steal_after: float,
         endpoints: Optional[Sequence[Tuple[str, int]]] = None,
+        authkey: bytes = b"",
         connect_timeout: float = 5.0,
     ) -> None:
         self.workers = int(workers)
         self.endpoints: Optional[Tuple[Tuple[str, int], ...]] = (
             None if endpoints is None else tuple((str(h), int(p)) for h, p in endpoints)
         )
+        self.authkey = authkey
         self.connect_timeout = float(connect_timeout)
         self.window = max(int(window), self.workers)
         self.max_retries = int(max_retries)
@@ -218,7 +221,7 @@ class AsyncScheduler:
         """PIDs of the processes executing cells, where known.
 
         Local transports always know their child's PID; a TCP transport
-        learns the agent child's PID from the hello frame, so this is
+        learns the agent child's PID from the hello message, so this is
         empty for remote workers that have not connected yet.
         """
         return frozenset(pid for pid in (w.pid for w in self._workers) if pid is not None)
@@ -232,7 +235,7 @@ class AsyncScheduler:
     def _spawn_worker(self, slot: int) -> WorkerTransport:
         if self.endpoints:
             host, port = self.endpoints[slot % len(self.endpoints)]
-            return TcpTransport(host, port, self.connect_timeout)
+            return TcpTransport(host, port, self.authkey, self.connect_timeout)
         return LocalProcessTransport(self._ctx)
 
     def _ensure_started(self) -> None:
@@ -346,10 +349,7 @@ class AsyncScheduler:
         def drain(worker: WorkerTransport) -> None:
             try:
                 while worker.poll():
-                    reply = worker.recv()
-                    if reply is None:
-                        continue  # control frame (heartbeat) from a remote agent
-                    seq, ok, payload = reply
+                    seq, ok, payload = worker.recv()
                     current = worker.current
                     if current is None or current[1] != seq:
                         continue  # stale: an aborted batch or a steal's losing copy

@@ -6,10 +6,13 @@ the ``async_transport`` fixture.  Agents are launched as real
 subprocesses through the ``python -m repro.experiments.remote`` CLI (the
 same entry point an operator uses), with ``PYTHONPATH`` covering both
 ``src`` and ``tests`` so test callables pickled by reference resolve on
-the agent side.
+the agent side.  The session sets one random ``REPRO_ASYNC_AUTHKEY``,
+which those agents inherit and every ``AsyncBackend(endpoint=...)``
+reads, so agents and clients authenticate with the same key.
 """
 
 import os
+import secrets
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +24,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Transports every AsyncBackend contract test must hold for.
 ASYNC_TRANSPORTS = ("local", "tcp")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def async_authkey():
+    """One random shared key for the session's TCP agents and clients."""
+    previous = os.environ.get("REPRO_ASYNC_AUTHKEY")
+    os.environ["REPRO_ASYNC_AUTHKEY"] = secrets.token_hex(16)
+    yield
+    if previous is None:
+        del os.environ["REPRO_ASYNC_AUTHKEY"]
+    else:
+        os.environ["REPRO_ASYNC_AUTHKEY"] = previous
 
 
 def _agent_env() -> dict:

@@ -14,9 +14,12 @@ transport-agnostic, and only the accounting of *where* a crashed
 process is respawned differs (the scheduler respawns local workers; a
 TCP agent respawns its own execution child, so scheduler-side
 ``respawns`` stay local-transport-only for crashes and count reconnects
-for remote drops).  Remote-only failure modes — a peer that never says
-hello, a protocol version mismatch, garbage frames, a connection
-dropped mid-task — are driven by scripted TCP peers.
+for remote drops).  Remote-only failure modes — a peer that never
+answers the authentication challenge, a protocol version mismatch,
+garbage messages, a connection dropped mid-task, a reply that stalls
+half-way — are driven by scripted TCP peers, and ``TestAuthentication``
+pins that no byte from a peer without the ``REPRO_ASYNC_AUTHKEY`` key
+is ever unpickled, on either side.
 
 The injection helpers are module-level (workers are separate
 processes, so they must be picklable) and coordinate through marker
@@ -26,21 +29,26 @@ assertions are deliberately loose — CI may run on a single core.
 """
 
 import os
+import pickle
 import signal
 import socket
+import struct
+import subprocess
+import sys
 import threading
 import time
+from multiprocessing.connection import Connection, answer_challenge, deliver_challenge
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.parallel import ParallelRunner, ScenarioSpec
+from repro.experiments import remote
+from repro.experiments.parallel import ScenarioSpec, run_grids
 from repro.experiments.remote import (
     PROTOCOL_VERSION,
     LocalProcessTransport,
     TcpTransport,
-    _recv_frame,
-    _send_frame,
+    WorkerAgent,
 )
 from repro.experiments.scheduler import AsyncCellError
 
@@ -243,13 +251,13 @@ class TestBitIdentityAcrossWorkerCounts:
     def test_run_grid_matches_serial_for_every_transport(self, async_transport):
         specs = [ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size)) for size in (3, 4)]
         seeds = [1, 2, 3]
-        serial = ParallelRunner(workers=0).run_grid(specs, seeds)
+        serial = run_grids([(specs, seeds)], workers=0)[0]
         # TCP needs one subprocess agent per worker; two counts keep the
         # remote leg affordable while still crossing the 1-vs-many line.
         worker_counts = (1, 2) if async_transport.is_remote else (1, 2, 4)
         for workers in worker_counts:
             with async_transport.backend(workers=workers) as backend:
-                assert ParallelRunner(backend=backend).run_grid(specs, seeds) == serial, (
+                assert run_grids([(specs, seeds)], backend=backend)[0] == serial, (
                     f"async workers={workers} diverged from serial"
                 )
 
@@ -257,12 +265,17 @@ class TestBitIdentityAcrossWorkerCounts:
 # -- remote-only failure modes ------------------------------------------------------------
 
 
+def _authkey():
+    return os.environ["REPRO_ASYNC_AUTHKEY"].encode()
+
+
 class ScriptedPeer:
     """A TCP listener standing in for a worker agent, with scripted behaviour.
 
     ``behaviour(conn)`` runs once per accepted connection on its own
-    thread; raising or returning closes the connection.  Used to inject
-    the failure modes a well-behaved agent never produces.
+    thread, with the socket wrapped as a ``Connection``; raising or
+    returning closes the connection.  Used to inject the failure modes
+    a well-behaved agent never produces.
     """
 
     def __init__(self, behaviour):
@@ -281,23 +294,21 @@ class ScriptedPeer:
         # while the previous scripted exchange may still be open.
         while not self._stop.is_set():
             try:
-                conn, _addr = self.listener.accept()
+                sock, _addr = self.listener.accept()
             except socket.timeout:
                 continue
             except OSError:
                 return
-            threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
+            sock.setblocking(True)
+            threading.Thread(target=self._handle, args=(Connection(sock.detach()),), daemon=True).start()
 
     def _handle(self, conn):
         try:
             self.behaviour(conn)
-        except OSError:
+        except (EOFError, OSError):
             pass
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
 
     def __enter__(self):
         self._thread.start()
@@ -317,59 +328,79 @@ class ScriptedPeer:
 
 
 def _hold_until_client_closes(conn):
-    while conn.recv(4096):
-        pass
+    while True:
+        conn.recv_bytes()  # EOFError once the client hangs up
 
 
-def _silent(conn):
-    """Accept, never say hello; the client gives up at connect_timeout."""
+def _serve_challenge(conn):
+    """The agent's half of the mutual HMAC challenge, with the session key."""
+    deliver_challenge(conn, _authkey())
+    answer_challenge(conn, _authkey())
+
+
+def _never_answers_the_challenge(conn):
+    """Check the client's key, never answer its challenge; it gives up at connect_timeout."""
+    deliver_challenge(conn, _authkey())
     _hold_until_client_closes(conn)
 
 
 def _wrong_version(conn):
-    _send_frame(conn, ("hello", PROTOCOL_VERSION + 1, None))
+    _serve_challenge(conn)
+    conn.send((PROTOCOL_VERSION + 1, None))
     _hold_until_client_closes(conn)
 
 
 def _garbage_after_task(conn):
-    _send_frame(conn, ("hello", PROTOCOL_VERSION, None))
-    _recv_frame(conn)  # the task
-    conn.sendall(b"\x00\x00\x00\x04junk")
+    _serve_challenge(conn)
+    conn.send((PROTOCOL_VERSION, None))
+    conn.recv_bytes()  # the task
+    conn.send_bytes(b"junk")
     _hold_until_client_closes(conn)
 
 
 def _drop_after_task(conn):
-    _send_frame(conn, ("hello", PROTOCOL_VERSION, None))
-    _recv_frame(conn)  # the task
+    _serve_challenge(conn)
+    conn.send((PROTOCOL_VERSION, None))
+    conn.recv_bytes()  # the task
     # return → close: the connection drops with the cell in flight
 
 
+def _stall_mid_reply(conn):
+    _serve_challenge(conn)
+    conn.send((PROTOCOL_VERSION, None))
+    conn.recv_bytes()  # the task
+    # A length header promising 64 bytes, then 7 of them, then silence.
+    os.write(conn.fileno(), struct.pack("!i", 64) + b"partial")
+    _hold_until_client_closes(conn)
+
+
+def _remote_backend(endpoint, **kwargs):
+    from repro.experiments.backends import AsyncBackend
+
+    kwargs.setdefault("max_retries", 1)
+    kwargs.setdefault("retry_base_delay", 0.01)
+    kwargs.setdefault("connect_timeout", 0.5)
+    return AsyncBackend(endpoint=endpoint, **kwargs)
+
+
 class TestRemoteOnlyFaults:
-    def _backend(self, endpoint, **kwargs):
-        from repro.experiments.backends import AsyncBackend
-
-        kwargs.setdefault("max_retries", 1)
-        kwargs.setdefault("retry_base_delay", 0.01)
-        kwargs.setdefault("connect_timeout", 0.5)
-        return AsyncBackend(endpoint=endpoint, **kwargs)
-
-    def test_worker_that_never_says_hello_fails_the_handshake(self):
-        with ScriptedPeer(_silent) as peer:
-            with self._backend(peer.endpoint) as backend:
+    def test_unanswered_challenge_fails_the_handshake(self):
+        with ScriptedPeer(_never_answers_the_challenge) as peer:
+            with _remote_backend(peer.endpoint) as backend:
                 with pytest.raises(AsyncCellError) as excinfo:
                     backend.map(_square, [1])
         assert "handshake" in excinfo.value.failures[0].error
 
     def test_protocol_version_mismatch_is_loud(self):
         with ScriptedPeer(_wrong_version) as peer:
-            with self._backend(peer.endpoint) as backend:
+            with _remote_backend(peer.endpoint) as backend:
                 with pytest.raises(AsyncCellError) as excinfo:
                     backend.map(_square, [1])
         assert "version mismatch" in excinfo.value.failures[0].error
 
     def test_garbage_frame_is_treated_as_worker_death(self):
         with ScriptedPeer(_garbage_after_task) as peer:
-            with self._backend(peer.endpoint) as backend:
+            with _remote_backend(peer.endpoint) as backend:
                 with pytest.raises(AsyncCellError) as excinfo:
                     backend.map(_square, [1])
         failure = excinfo.value.failures[0]
@@ -378,7 +409,7 @@ class TestRemoteOnlyFaults:
 
     def test_connection_drop_mid_task_is_retried_then_fails(self):
         with ScriptedPeer(_drop_after_task) as peer:
-            with self._backend(peer.endpoint) as backend:
+            with _remote_backend(peer.endpoint) as backend:
                 with pytest.raises(AsyncCellError) as excinfo:
                     backend.map(_square, [1])
                 assert backend.stats["respawns"] >= 1  # each retry reconnects
@@ -386,12 +417,28 @@ class TestRemoteOnlyFaults:
         assert failure.attempts == 2
         assert "worker" in failure.error.lower()
 
+    def test_reply_stalled_half_way_is_a_worker_death(self, monkeypatch):
+        # The per-message bound is 30 s; shrink it so a reply that stops
+        # mid-message fails the cell promptly instead of hanging the
+        # dispatch thread in a blocking read.
+        monkeypatch.setattr(remote, "_FRAME_TIMEOUT", 0.5)
+        with ScriptedPeer(_stall_mid_reply) as peer:
+            with _remote_backend(peer.endpoint) as backend:
+                start = time.monotonic()
+                with pytest.raises(AsyncCellError) as excinfo:
+                    backend.map(_square, [1])
+                elapsed = time.monotonic() - start
+        failure = excinfo.value.failures[0]
+        assert failure.attempts == 2
+        assert "worker" in failure.error.lower()
+        assert elapsed < 10, f"a stalled reply held the dispatch thread for {elapsed:.1f}s"
+
     def test_drop_then_recovery_via_a_real_agent(self, tcp_agents):
         # A scripted drop is terminal because the peer never improves;
         # a real agent accepts the reconnect and the retried cell
         # succeeds — the respawn-as-reconnect contract end to end.
         endpoint = tcp_agents(1)
-        with self._backend(endpoint, task_timeout=1.5, max_retries=2) as backend:
+        with _remote_backend(endpoint, task_timeout=1.5, max_retries=2) as backend:
             # First attempt hangs and is killed via the connection; the
             # retry against the same agent completes.
             marker = Path(os.environ.get("TMPDIR", "/tmp")) / f"drop-recover-{os.getpid()}"
@@ -404,6 +451,93 @@ class TestRemoteOnlyFaults:
                     marker.unlink()
             assert backend.stats["timeouts"] >= 1
             assert backend.stats["respawns"] >= 1
+
+
+class _CreatesMarker:
+    """Unpickling this object creates ``path``: proof that a peer's bytes were unpickled."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+class TestAuthentication:
+    """No byte from a peer without the key reaches ``pickle.loads``, on either side."""
+
+    def test_agent_never_unpickles_an_unauthenticated_client(self, tmp_path, capsys):
+        from repro.experiments.backends import AsyncBackend
+
+        marker = tmp_path / "unpickled"
+        with WorkerAgent("127.0.0.1", 0) as agent:
+            with socket.create_connection(("127.0.0.1", agent.port), timeout=10) as sock:
+                sock.settimeout(None)
+                conn = Connection(sock.detach())
+            try:
+                conn.recv_bytes()  # the agent speaks first
+                # A client without the key answers with a pickle instead.
+                conn.send_bytes(pickle.dumps(_CreatesMarker(marker)))
+                with pytest.raises(EOFError):
+                    while True:
+                        conn.recv_bytes()  # until the agent hangs up
+            finally:
+                conn.close()
+            assert not marker.exists(), "the agent unpickled an unauthenticated client's bytes"
+            assert "authentication failed" in capsys.readouterr().err
+            # The rejected attempt left the agent serving.
+            with AsyncBackend(endpoint=f"tcp://127.0.0.1:{agent.port}") as backend:
+                assert backend.map(_square, [3]) == [9]
+
+    def test_client_never_unpickles_an_unauthenticated_agent(self, tmp_path):
+        marker = tmp_path / "unpickled"
+
+        def impostor(conn):
+            # An agent without the key greets with a pickle instead of the challenge.
+            conn.send_bytes(pickle.dumps(_CreatesMarker(marker)))
+            _hold_until_client_closes(conn)
+
+        with ScriptedPeer(impostor) as peer:
+            with _remote_backend(peer.endpoint) as backend:
+                with pytest.raises(AsyncCellError) as excinfo:
+                    backend.map(_square, [1])
+        assert not marker.exists(), "the client unpickled an unauthenticated agent's bytes"
+        assert "authentication" in excinfo.value.failures[0].error
+
+    def test_wrong_key_is_refused_and_the_right_one_works(self, tcp_agents, monkeypatch):
+        from repro.experiments.backends import AsyncBackend
+
+        endpoint = tcp_agents(1)
+        key = os.environ["REPRO_ASYNC_AUTHKEY"]
+        monkeypatch.setenv("REPRO_ASYNC_AUTHKEY", "not-" + key)
+        with AsyncBackend(endpoint=endpoint, max_retries=1, retry_base_delay=0.01) as backend:
+            with pytest.raises(AsyncCellError) as excinfo:
+                backend.map(_square, [2])
+        assert "authentication" in excinfo.value.failures[0].error
+        monkeypatch.setenv("REPRO_ASYNC_AUTHKEY", key)
+        with AsyncBackend(endpoint=endpoint) as backend:
+            assert backend.map(_square, [2]) == [4]
+
+    def test_nothing_runs_without_a_key(self, monkeypatch):
+        from repro.experiments.backends import AsyncBackend
+
+        env = dict(os.environ)
+        env.pop("REPRO_ASYNC_AUTHKEY")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+        )
+        cli = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.remote", "--listen", "127.0.0.1:0"],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert cli.returncode != 0
+        assert "REPRO_ASYNC_AUTHKEY" in cli.stderr
+        monkeypatch.delenv("REPRO_ASYNC_AUTHKEY")
+        with pytest.raises(ValueError, match="REPRO_ASYNC_AUTHKEY"):
+            WorkerAgent("127.0.0.1", 0)
+        with pytest.raises(ValueError, match="REPRO_ASYNC_AUTHKEY"):
+            AsyncBackend(endpoint="tcp://127.0.0.1:1")
+        AsyncBackend(workers=1).close()  # local workers need no key
 
 
 class TestTransportObjects:
@@ -423,13 +557,13 @@ class TestTransportObjects:
         assert not worker.process.is_alive()
 
     def test_tcp_terminate_is_idempotent_without_ever_connecting(self):
-        transport = TcpTransport("127.0.0.1", 1)  # nothing listens here
+        transport = TcpTransport("127.0.0.1", 1, b"key")  # nothing listens here
         transport.terminate()
         transport.terminate()
         assert not transport.is_alive()
 
     def test_dead_tcp_transport_never_reconnects(self):
-        transport = TcpTransport("127.0.0.1", 1)
+        transport = TcpTransport("127.0.0.1", 1, b"key")
         transport.kill()
         with pytest.raises(OSError, match="marked dead"):
             transport.send((0, 0, b"", None))

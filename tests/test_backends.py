@@ -26,7 +26,8 @@ from repro.experiments.backends import (
     shared_backend,
     workers_from_env,
 )
-from repro.experiments.parallel import ParallelRunner, ScenarioSpec
+from repro.experiments.parallel import ScenarioSpec, run_grids
+from repro.experiments.runner import replicate
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -257,7 +258,7 @@ class TestAsyncBackend:
         # same way, naming the picklable alternative.
         builder = lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed)
         with pytest.raises(TypeError, match="ScenarioSpec"):
-            ParallelRunner(workers=2).replicate(builder, [1, 2])
+            replicate(builder, [1, 2], workers=2)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -272,10 +273,10 @@ class TestCrossBackendBitIdentity:
     def test_serial_process_thread_async_agree_on_a_small_grid(self):
         specs = [ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size)) for size in (3, 4)]
         seeds = [1, 2, 3]
-        serial = ParallelRunner(backend=SerialBackend()).run_grid(specs, seeds)
-        pooled = ParallelRunner(workers=2).run_grid(specs, seeds)
+        serial = run_grids([(specs, seeds)], backend=SerialBackend())[0]
+        pooled = run_grids([(specs, seeds)], workers=2)[0]
         with AsyncBackend(workers=2) as backend:
-            scheduled = ParallelRunner(backend=backend).run_grid(specs, seeds)
+            scheduled = run_grids([(specs, seeds)], backend=backend)[0]
         assert pooled == serial
         assert scheduled == serial
 

@@ -439,6 +439,33 @@ class TestASY002:
             """, module=_SCHED_MODULE)
         assert found == []
 
+    def test_unreleased_socket_in_the_wire_module_fires(self):
+        found = findings_for("ASY002", """\
+            import socket
+
+            def probe(host, port):
+                sock = socket.create_connection((host, port))
+                sock.sendall(b"ping")
+            """, module="repro.experiments.remote")
+        assert len(found) == 1
+        assert "'sock'" in found[0].message
+        assert "never closed/joined" in found[0].message
+
+    def test_wire_connection_released_in_finally_is_clean(self):
+        found = findings_for("ASY002", """\
+            import socket
+            from multiprocessing.connection import Connection
+
+            def probe(host, port):
+                sock = socket.create_connection((host, port))
+                conn = Connection(sock.detach())
+                try:
+                    conn.send_bytes(b"ping")
+                finally:
+                    conn.close()
+            """, module="repro.experiments.remote")
+        assert found == []
+
     def test_out_of_scope_module_is_ignored(self):
         found = findings_for("ASY002", """\
             from multiprocessing import Pipe

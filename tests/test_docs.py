@@ -95,6 +95,7 @@ class TestReadmeIndexes:
             "REPRO_ASYNC_RETRIES",
             "REPRO_ASYNC_TIMEOUT",
             "REPRO_ASYNC_ENDPOINT",
+            "REPRO_ASYNC_AUTHKEY",
         ):
             assert variable in self.README, f"README env-var table misses {variable}"
 
@@ -147,7 +148,7 @@ class TestReadmeIndexes:
             '"hello"',
             '"task"',
             '"result"',
-            '"heartbeat"',
+            "REPRO_ASYNC_AUTHKEY",
             "respawn",
             "trusted networks",
         ):
@@ -160,7 +161,7 @@ class TestReadmeIndexes:
 
         doc = (REPO_ROOT / "docs" / "distributed.md").read_text()
         assert "protocol version" in doc
-        assert remote.PROTOCOL_VERSION == 1  # bump the docs when this moves
+        assert remote.PROTOCOL_VERSION == 2  # bump the docs when this moves
 
     def test_faults_doc_is_cross_linked_and_complete(self):
         # The fault-injection doc is reachable from the README and pins

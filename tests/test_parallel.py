@@ -1,15 +1,15 @@
-"""Parallel replication: records, specs, determinism, sweeps."""
+"""Parallel replication: records, specs, determinism, batched grids."""
 
 import pickle
 from typing import ClassVar, List, Tuple
 
 import pytest
 
-from repro.experiments.backends import AsyncBackend, SerialBackend
+from repro.experiments.backends import AsyncBackend, SerialBackend, resolve_backend
 from repro.experiments.parallel import (
-    ParallelRunner,
     ScenarioRecord,
     ScenarioSpec,
+    run_grids,
     spawn_seeds,
 )
 from repro.experiments.runner import replicate, summarize
@@ -55,42 +55,52 @@ class TestScenarioRecord:
 
 
 class TestParallelRunner:
+    """The parallel entry points: ``run_grids`` and ``replicate``."""
+
     def test_workers_validated(self):
         with pytest.raises(ValueError):
-            ParallelRunner(workers=-1)
+            run_grids([], workers=-1)
 
     def test_workers_zero_and_one_mean_serial(self):
         # REPRO_WORKERS=0 plumbing resolves here: both 0 and 1 are the
-        # in-process serial backend, no pool at all.
-        assert isinstance(ParallelRunner(workers=0).backend, SerialBackend)
-        assert isinstance(ParallelRunner(workers=1).backend, SerialBackend)
+        # in-process serial backend, no pool at all — so even an
+        # unpicklable builder runs.
+        assert isinstance(resolve_backend(workers=0), SerialBackend)
+        assert isinstance(resolve_backend(workers=1), SerialBackend)
+        for workers in (0, 1):
+            records = replicate(lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed), [1], workers=workers)
+            assert [r.seed for r in records] == [1]
 
     def test_default_backend_is_shared_process_pool(self):
         import os
 
-        first = ParallelRunner()
-        second = ParallelRunner()
+        specs = [ScenarioSpec("linear", SMALL_LINEAR)]
         if (os.cpu_count() or 1) > 1:
             # Consecutive figure calls share one persistent pool.
-            assert isinstance(first.backend, AsyncBackend)
-            assert first.backend is second.backend
+            shared = resolve_backend()
+            assert isinstance(shared, AsyncBackend)
+            before = shared.tasks_submitted
+            run_grids([(specs, [1])])
+            run_grids([(specs, [2])])
+            assert shared.tasks_submitted == before + 2
+            assert resolve_backend() is shared
         else:
             # One-core machines keep the historical serial execution.
-            assert isinstance(first.backend, SerialBackend)
+            assert isinstance(resolve_backend(), SerialBackend)
 
     def test_workers_and_backend_are_mutually_exclusive(self):
         with pytest.raises(ValueError):
-            ParallelRunner(workers=2, backend=SerialBackend())
+            run_grids([], workers=2, backend=SerialBackend())
 
     def test_replicate_requires_seeds(self):
         with pytest.raises(ValueError):
-            ParallelRunner(workers=1).replicate(ScenarioSpec("linear", SMALL_LINEAR), [])
+            replicate(ScenarioSpec("linear", SMALL_LINEAR), [], workers=1)
 
     def test_parallel_matches_serial_bit_identically(self):
         spec = ScenarioSpec("linear", SMALL_LINEAR)
         seeds = [1, 2, 3, 4]
-        serial = ParallelRunner(workers=1).replicate(spec, seeds)
-        parallel = ParallelRunner(workers=4).replicate(spec, seeds)
+        serial = replicate(spec, seeds, workers=1)
+        parallel = replicate(spec, seeds, workers=4)
         assert parallel == serial
         for attribute in ("energy_per_bit_microjoules", "goodput_kbps", "delivered_fraction"):
             assert summarize(parallel, attribute) == summarize(serial, attribute)
@@ -100,7 +110,7 @@ class TestParallelRunner:
             ScenarioSpec("linear", dict(SMALL_LINEAR, num_nodes=size))
             for size in (3, 4)
         ]
-        per_spec = ParallelRunner(workers=2).run_grid(specs, [1, 2])
+        per_spec = run_grids([(specs, [1, 2])], workers=2)[0]
         assert len(per_spec) == 2
         for spec, records in zip(specs, per_spec, strict=True):
             assert [r.seed for r in records] == [1, 2]
@@ -115,20 +125,19 @@ class TestRunGrids:
         # Uneven grids (different spec counts *and* seed counts) so the
         # round-robin interleave and the demux are both exercised —
         # serial, the shared pool and a private pool must all agree.
-        runners = [ParallelRunner(workers=1), ParallelRunner(workers=2)]
         with AsyncBackend(workers=2) as private_backend:
-            runners.append(ParallelRunner(backend=private_backend))
+            selections = [{"workers": 1}, {"workers": 2}, {"backend": private_backend}]
             reference = None
-            for runner in runners:
-                batched = runner.run_grids([(self.GRID_A, [1, 2]), (self.GRID_B, [3])])
-                assert batched[0] == runner.run_grid(self.GRID_A, [1, 2])
-                assert batched[1] == runner.run_grid(self.GRID_B, [3])
+            for selection in selections:
+                batched = run_grids([(self.GRID_A, [1, 2]), (self.GRID_B, [3])], **selection)
+                assert batched[0] == run_grids([(self.GRID_A, [1, 2])], **selection)[0]
+                assert batched[1] == run_grids([(self.GRID_B, [3])], **selection)[0]
                 if reference is None:
                     reference = batched
                 assert batched == reference
 
     def test_batched_groups_align_with_their_grids(self):
-        batched = ParallelRunner(workers=1).run_grids([(self.GRID_A, [1, 2]), (self.GRID_B, [3])])
+        batched = run_grids([(self.GRID_A, [1, 2]), (self.GRID_B, [3])], workers=1)
         assert [len(groups) for groups in batched] == [2, 1]
         for spec, records in zip(self.GRID_A, batched[0], strict=True):
             assert [r.seed for r in records] == [1, 2]
@@ -137,10 +146,10 @@ class TestRunGrids:
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
-            ParallelRunner(workers=1).run_grids([(self.GRID_A, [])])
+            run_grids([(self.GRID_A, [])], workers=1)
 
     def test_no_grids_is_empty(self):
-        assert ParallelRunner(workers=1).run_grids([]) == []
+        assert run_grids([], workers=1) == []
 
 
 class TestProgress:
@@ -150,30 +159,27 @@ class TestProgress:
 
     def test_progress_reports_every_cell_in_submission_order(self):
         events = []
-        ParallelRunner(workers=1).run_grids(
-            self.GRIDS, progress=lambda grid, done, total: events.append((grid, done, total))
+        run_grids(
+            self.GRIDS, workers=1, progress=lambda grid, done, total: events.append((grid, done, total))
         )
         # Round-robin interleave: grid 0 and grid 1 alternate until the
         # short grid runs dry, counts are per grid and totals fixed.
         assert events == [(0, 1, 4), (1, 1, 1), (0, 2, 4), (0, 3, 4), (0, 4, 4)]
 
     def test_progress_does_not_change_the_records(self):
-        runner = ParallelRunner(workers=1)
-        silent = runner.run_grids(self.GRIDS)
-        noisy = runner.run_grids(self.GRIDS, progress=lambda *args: None)
+        silent = run_grids(self.GRIDS, workers=1)
+        noisy = run_grids(self.GRIDS, workers=1, progress=lambda *args: None)
         assert noisy == silent
 
     def test_progress_streams_on_every_backend(self):
         reference = None
         with AsyncBackend(workers=2) as private_backend:
-            for runner in (
-                ParallelRunner(workers=1),
-                ParallelRunner(workers=2),
-                ParallelRunner(backend=private_backend),
-            ):
+            for selection in ({"workers": 1}, {"workers": 2}, {"backend": private_backend}):
                 events = []
-                batched = runner.run_grids(
-                    self.GRIDS, progress=lambda grid, done, total: events.append((grid, done, total))
+                batched = run_grids(
+                    self.GRIDS,
+                    progress=lambda grid, done, total: events.append((grid, done, total)),
+                    **selection,
                 )
                 # Identical event sequence (submission order, not
                 # completion order) and identical records everywhere.
@@ -184,8 +190,10 @@ class TestProgress:
 
     def test_run_grid_progress_counts_cells(self):
         events = []
-        ParallelRunner(workers=1).run_grid(
-            self.GRID_A, [1, 2], progress=lambda done, total: events.append((done, total))
+        run_grids(
+            [(self.GRID_A, [1, 2])],
+            workers=1,
+            progress=lambda _grid, done, total: events.append((done, total)),
         )
         assert events == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
@@ -194,35 +202,7 @@ class TestProgress:
             raise RuntimeError("stop")
 
         with pytest.raises(RuntimeError, match="stop"):
-            ParallelRunner(workers=1).run_grids(self.GRIDS, progress=explode)
-
-
-class TestSweep:
-    def test_sweep_rows_echo_grid_and_carry_cis(self):
-        rows = ParallelRunner(workers=2).sweep(
-            "linear",
-            grid={"num_nodes": (3, 4), "protocol": ("jtp",)},
-            seeds=[1, 2],
-            base_params={"transfer_bytes": 10_000, "num_flows": 1, "duration": 200},
-        )
-        assert len(rows) == 2
-        for row in rows:
-            assert row["scenario"] == "linear"
-            assert row["protocol"] == "jtp"
-            assert row["n"] == 2
-            assert row["energy_per_bit_microjoules_mean"] > 0
-            assert row["energy_per_bit_microjoules_ci95"] >= 0
-            assert row["goodput_kbps_mean"] > 0
-        assert [row["num_nodes"] for row in rows] == [3, 4]
-
-    def test_sweep_derives_seeds_from_count(self):
-        rows = ParallelRunner(workers=1).sweep(
-            "linear",
-            grid={"num_nodes": (3,)},
-            seeds=2,
-            base_params={"transfer_bytes": 10_000, "num_flows": 1, "duration": 200},
-        )
-        assert rows[0]["n"] == 2
+            run_grids(self.GRIDS, workers=1, progress=explode)
 
 
 class TestSpawnSeeds:
@@ -237,14 +217,6 @@ class TestSpawnSeeds:
 
 
 class TestReplicateRewiring:
-    def test_workers_one_returns_live_results(self):
-        results = replicate(
-            lambda seed: ScenarioSpec("linear", SMALL_LINEAR)(seed),
-            seeds=[1, 2],
-            workers=1,
-        )
-        assert all(isinstance(r, ScenarioResult) for r in results)
-
     def test_parallel_replicate_returns_records(self):
         spec = ScenarioSpec("linear", SMALL_LINEAR)
         records = replicate(spec, seeds=[1, 2], workers=2)
@@ -253,9 +225,8 @@ class TestReplicateRewiring:
         assert [r.metrics for r in records] == [r.metrics for r in serial]
 
     def test_workers_none_is_the_documented_cpu_count_fan_out(self):
-        # workers=None must reach the ParallelRunner fan-out (records
-        # back, in seed order) and never fall into the serial
-        # live-results path — whatever os.cpu_count() resolves to.
+        # workers=None is the cpu-count fan-out: records back, in
+        # seed order, whatever os.cpu_count() resolves to.
         spec = ScenarioSpec("linear", SMALL_LINEAR)
         records = replicate(spec, seeds=[1, 2], workers=None)
         assert all(isinstance(r, ScenarioRecord) for r in records)

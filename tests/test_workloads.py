@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.backends import AsyncBackend, SerialBackend
-from repro.experiments.parallel import ParallelRunner, ScenarioSpec
+from repro.experiments.backends import AsyncBackend
+from repro.experiments.parallel import ScenarioSpec, run_grids
 from repro.experiments import workloads
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.presets import figure_job, run_paper, workload_index
@@ -274,8 +274,8 @@ class TestRandomPlanBitIdentity:
         # depend on where the simulation runs.
         plan, workers, seed = case
         specs = [_property_spec(plan), _property_spec(None)]
-        serial = ParallelRunner(workers=0).run_grid(specs, [seed])
-        pooled = ParallelRunner(workers=workers).run_grid(specs, [seed])
+        serial = run_grids([(specs, [seed])], workers=0)[0]
+        pooled = run_grids([(specs, [seed])], workers=workers)[0]
         assert serial == pooled
         # The pooled records crossed a process boundary: they must also
         # survive a pickle round-trip unchanged, and canonical JSON of
