@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, cast
 
 from repro.core.config import CachePolicy, FeedbackMode, JTPConfig
 from repro.experiments.backends import ExecutorBackend
@@ -101,6 +101,25 @@ class FigurePlan:
         return self.aggregate(groups)
 
 
+#: Rows as a claim reads them: freshly aggregated or loaded back from disk.
+Rows = Sequence[Mapping[str, Any]]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One qualitative claim of the paper, checked on a figure's rows.
+
+    ``check(rows)`` returns ``"pass"``, ``"fail"`` or ``"n/a"`` and
+    never raises.  ``"n/a"`` means the rows lack the cells the claim
+    compares, e.g. a cache size the run did not simulate.  ``id`` is
+    prefixed by the figure name (``"figure9.jtp_energy_lt_tcp"``).
+    """
+
+    id: str
+    description: str
+    check: Callable[[Rows], str]
+
+
 @dataclass(frozen=True)
 class FigureJob:
     """One registry entry: a paper figure or fault workload, declared once.
@@ -114,7 +133,10 @@ class FigureJob:
     checks for every job that it names only columns the rows carry.
     ``description`` is the one line printed by ``python -m
     repro.experiments --list-figures``; the doc tests pin it in the
-    README and ``docs/faults.md``.
+    README and ``docs/faults.md``.  ``claims`` are the paper's
+    qualitative orderings on the job's rows; ``run_paper(out_dir=…)``
+    records their verdicts in the manifest and
+    ``benchmarks/bench_figures.py`` requires every one to pass.
     """
 
     name: str
@@ -127,10 +149,15 @@ class FigureJob:
     smoke_kwargs: Dict[str, object] = field(default_factory=dict)
     #: ``"metric"`` (batched grid) or ``"trace"`` (serial rows).
     kind: str = "metric"
+    claims: Tuple[Claim, ...] = ()
 
     def planner(self) -> Callable[..., Any]:
         """The job's builder: ``<name>_plan`` for a metric job."""
         return self.build
+
+    def check(self, rows: Rows) -> Dict[str, str]:
+        """``{claim id: "pass" | "fail" | "n/a"}`` for every claim on ``rows``."""
+        return {claim.id: claim.check(rows) for claim in self.claims}
 
 
 # ---------------------------------------------------------------------------
@@ -773,13 +800,127 @@ def ablation_mac_type(
 
 
 # ---------------------------------------------------------------------------
+# Claim checks — the paper's qualitative orderings on a figure's rows
+# ---------------------------------------------------------------------------
+#
+# Each check compares cells of a figure's rows and folds the comparisons
+# into one verdict.  A comparison is True/False, or None when a cell it
+# needs is absent; the verdict is "n/a" if any comparison is None or
+# there was nothing to compare.  Loops run over the values present in
+# the rows (net sizes, speeds, protocols), not fixed lists, so one claim
+# reads a smoke, bench or paper-scale run alike.
+
+def _verdict(holds: Sequence[Optional[bool]]) -> str:
+    if not holds or any(held is None for held in holds):
+        return "n/a"
+    return "pass" if all(holds) else "fail"
+
+
+def _compare(
+    key: str,
+    a: object,
+    b: object,
+    holds: Callable[[Mapping[str, Any], Mapping[str, Any]], bool],
+    per: Optional[str] = None,
+    largest: bool = False,
+) -> Callable[[Rows], str]:
+    """A check of ``holds(row a, row b)``, the rows whose ``key`` is ``a`` and ``b``.
+
+    The pair is compared within every group of rows sharing a ``per``
+    value (all rows are one group without ``per``), or only within the
+    group of the largest ``per`` value when ``largest`` is set.
+    """
+
+    def check(rows: Rows) -> str:
+        groups: Dict[Any, Dict[Any, Mapping[str, Any]]] = {}
+        for row in rows:
+            groups.setdefault(row[per] if per else None, {})[row[key]] = row
+        if largest and groups:
+            groups = {None: groups[max(groups)]}
+        return _verdict([holds(g[a], g[b]) if a in g and b in g else None for g in groups.values()])
+
+    return check
+
+
+def _series(rows: Rows, key: str, value: object, column: str) -> List[Any]:
+    """``column`` of the rows whose ``key`` is ``value``, in row order."""
+    return [row[column] for row in rows if row[key] == value]
+
+
+def _figure3c_effort(rows: Rows) -> str:
+    jtp10 = _series(rows, "protocol", "jtp10", "attempts")
+    jtp20 = _series(rows, "protocol", "jtp20", "attempts")
+    return _verdict([statistics.fmean(jtp20) <= statistics.fmean(jtp10) + 0.25] if jtp10 and jtp20 else [])
+
+
+def _figure4b_energy(rows: Rows) -> str:
+    jtp = _series(rows, "protocol", "jtp", "energy_J")
+    jnc = _series(rows, "protocol", "jnc", "energy_J")
+    return _verdict([sum(jtp) <= sum(jnc) * 1.1] if jtp and jnc else [])
+
+
+def _figure5_delivers(series: str) -> Callable[[Rows], str]:
+    def check(rows: Rows) -> str:
+        variants = dict.fromkeys(row["variant"] for row in rows)
+        return _verdict([
+            any(row["rate_pps"] > 0 for row in rows if row["variant"] == variant and row["series"] == series)
+            for variant in variants
+        ])
+
+    return check
+
+
+def _figure8_rates(rows: Rows) -> Optional[Tuple[float, float, float]]:
+    """Flow 1 alone, flow 1 while sharing and flow 2 while active, in pps."""
+    interval = _series(rows, "series", "flow2_interval", "value")
+    if not interval:
+        return None
+    start = _series(rows, "series", "flow2_interval", "time")[0]
+    end = interval[0]
+
+    def mean_rate(series: str, lo: float, hi: float) -> float:
+        values = [row["value"] for row in rows if row["series"] == series and lo <= row["time"] <= hi]
+        return statistics.fmean(values) if values else 0.0
+
+    return (
+        mean_rate("flow1_rate", 100.0, start),
+        mean_rate("flow1_rate", start + 30.0, end),
+        mean_rate("flow2_rate", start + 30.0, end),
+    )
+
+
+def _figure8_flow2_share(rows: Rows) -> str:
+    rates = _figure8_rates(rows)
+    return _verdict([rates[2] > 0.2] if rates else [])
+
+
+def _figure8_flow1_concedes(rows: Rows) -> str:
+    rates = _figure8_rates(rows)
+    return _verdict([rates[1] <= rates[0] * 1.05] if rates else [])
+
+
+def _figure9_energy_grows(rows: Rows) -> str:
+    holds: List[Optional[bool]] = []
+    for protocol in dict.fromkeys(row["protocol"] for row in rows):
+        series = _series(rows, "protocol", protocol, "energy_per_bit_uJ")
+        holds.append(series[-1] > series[0] if len(series) > 1 else None)
+    return _verdict(holds)
+
+
+def _figure11_cache_recovers(rows: Rows) -> str:
+    hits = _series(rows, "protocol", "jtp", "cache_hits_per_kpkt")
+    return _verdict([any(hit > 0 for hit in hits)] if hits else [])
+
+
+# ---------------------------------------------------------------------------
 # The registry — one entry per figure and table, in paper order
 # ---------------------------------------------------------------------------
 #
 # Each PlotSpec names only columns its figure's rows carry and mirrors
 # the paper's presentation: CI error bars where the rows store `*_ci`
 # columns, log axes where the paper uses them (cache sizes, node
-# speeds), bars for the per-node / per-protocol breakdowns.
+# speeds), bars for the per-node / per-protocol breakdowns.  Each claim's
+# description quotes the bound its check applies.
 
 #: Every figure :func:`~repro.experiments.presets.run_paper` regenerates,
 #: in paper order.
@@ -790,6 +931,13 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         figure3_plan,
         description="Total energy and data delivered vs. net size for jtp0/jtp10/jtp20",
         smoke_kwargs={"net_sizes": (3, 5), "tolerances": (0.0, 0.10), "transfer_bytes": 40_000, "duration": 400},
+        claims=(
+            Claim(
+                "figure3.delivery_meets_requirement",
+                "every reliability level delivers >= its requirement - 1.0 kB",
+                lambda rows: _verdict([row["data_delivered_kB"] >= row["requirement_kB"] - 1.0 for row in rows]),
+            ),
+        ),
         plot=PlotSpec(
             figure="figure3",
             x="netSize",
@@ -809,6 +957,23 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         kind="trace",
         description="Per-packet link-layer attempt bound over time at the third node",
         smoke_kwargs={"num_nodes": 4, "tolerances": (0.10, 0.20), "transfer_bytes": 40_000, "duration": 400},
+        claims=(
+            Claim(
+                "figure3c.attempts_planned",
+                "iJTP planned per-packet attempts at the third node",
+                lambda rows: _verdict([bool(rows)]),
+            ),
+            Claim(
+                "figure3c.attempts_within_bounds",
+                "every planned attempt bound is in [1, 5]",
+                lambda rows: _verdict([all(1 <= row["attempts"] <= 5 for row in rows)] if rows else []),
+            ),
+            Claim(
+                "figure3c.tolerant_flow_needs_less_effort",
+                "mean attempt bound of jtp20 <= jtp10's + 0.25",
+                _figure3c_effort,
+            ),
+        ),
         plot=PlotSpec(
             figure="figure3c",
             x="time",
@@ -824,6 +989,26 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         figure4_plan,
         description="Energy per bit, JTP vs. JNC, vs. net size (linear topologies)",
         smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 50_000, "duration": 500},
+        claims=(
+            Claim(
+                "figure4.jtp_energy_le_jnc",
+                "at the longest path, JTP energy per bit <= JNC's x 1.05",
+                _compare(
+                    "protocol", "jtp", "jnc",
+                    lambda jtp, jnc: jtp["energy_per_bit_uJ"] <= jnc["energy_per_bit_uJ"] * 1.05,
+                    per="netSize", largest=True,
+                ),
+            ),
+            Claim(
+                "figure4.jtp_fewer_source_rtx",
+                "at the longest path, JTP source retransmissions < JNC's",
+                _compare(
+                    "protocol", "jtp", "jnc",
+                    lambda jtp, jnc: jtp["source_rtx"] < jnc["source_rtx"],
+                    per="netSize", largest=True,
+                ),
+            ),
+        ),
         plot=PlotSpec(
             figure="figure4",
             x="netSize",
@@ -842,6 +1027,13 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         figure4b_plan,
         description="Per-node energy in a 7-node linear topology, JTP vs. JNC",
         smoke_kwargs={"num_nodes": 5, "transfer_bytes": 50_000, "duration": 500},
+        claims=(
+            Claim(
+                "figure4b.jtp_total_energy_le_jnc",
+                "JTP total energy over all nodes <= JNC's x 1.1",
+                _figure4b_energy,
+            ),
+        ),
         plot=PlotSpec(
             figure="figure4b",
             x="node",
@@ -858,6 +1050,18 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         kind="trace",
         description="Reception-rate time series of two competing flows, back-off on/off",
         smoke_kwargs={"num_nodes": 5, "duration": 300, "transfer_bytes": 100_000},
+        claims=(
+            Claim(
+                "figure5.flow1_delivers",
+                "with and without back-off, the UDP-like flow 1 has a short-term rate > 0",
+                _figure5_delivers("flow1_short"),
+            ),
+            Claim(
+                "figure5.flow2_delivers",
+                "with and without back-off, the JTP flow 2 has a short-term rate > 0",
+                _figure5_delivers("flow2_short"),
+            ),
+        ),
         plot=PlotSpec(
             figure="figure5",
             x="time",
@@ -873,6 +1077,26 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         figure6_plan,
         description="Source retransmissions vs. in-network cache size for several net sizes",
         smoke_kwargs={"cache_sizes": (2, 10), "net_sizes": (5,), "transfer_bytes": 50_000, "duration": 400},
+        claims=(
+            Claim(
+                "figure6.tiny_cache_more_source_rtx",
+                "per net size, source retransmissions at cache size 2 >= at cache size 100",
+                _compare(
+                    "cache_size", 2, 100,
+                    lambda tiny, big: tiny["source_rtx"] >= big["source_rtx"],
+                    per="netSize",
+                ),
+            ),
+            Claim(
+                "figure6.big_cache_le_small",
+                "per net size, source retransmissions at cache size 100 <= at cache size 5",
+                _compare(
+                    "cache_size", 100, 5,
+                    lambda big, small: big["source_rtx"] <= small["source_rtx"],
+                    per="netSize",
+                ),
+            ),
+        ),
         plot=PlotSpec(
             figure="figure6",
             x="cache_size",
@@ -900,6 +1124,24 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
             "short_transfer_bytes": 15_000,
             "num_short_flows": 2,
         },
+        claims=(
+            Claim(
+                "figure7.variable_energy_le_fastest_constant",
+                "variable feedback energy <= constant 0.5 pps feedback energy",
+                _compare(
+                    "feedback", "variable", "constant_0.5",
+                    lambda variable, fastest: variable["energy_mJ"] <= fastest["energy_mJ"],
+                ),
+            ),
+            Claim(
+                "figure7.variable_fewer_acks",
+                "variable feedback sends < the ACKs of constant 0.5 pps feedback",
+                _compare(
+                    "feedback", "variable", "constant_0.5",
+                    lambda variable, fastest: variable["acks"] < fastest["acks"],
+                ),
+            ),
+        ),
         plot=PlotSpec(
             figure="figure7",
             x="feedback",
@@ -918,6 +1160,23 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         kind="trace",
         description="Rate adaptation of two competing JTP flows (flip-flop monitor)",
         smoke_kwargs={"num_nodes": 4, "duration": 400, "flow2_start": 120.0, "flow2_duration": 120.0},
+        claims=(
+            Claim(
+                "figure8.flow2_gets_share",
+                "flow 2's mean rate while active (from 30 s after its start) > 0.2 pps",
+                _figure8_flow2_share,
+            ),
+            Claim(
+                "figure8.flow1_concedes",
+                "flow 1's mean rate while flow 2 is active <= its rate alone (100 s to flow 2's start) x 1.05",
+                _figure8_flow1_concedes,
+            ),
+            Claim(
+                "figure8.monitor_view",
+                "flow 1's flip-flop monitor mean has > 10 readings",
+                lambda rows: _verdict([len(_series(rows, "series", "flow1_monitor_mean", "value")) > 10]),
+            ),
+        ),
         plot=PlotSpec(
             figure="figure8",
             x="time",
@@ -936,6 +1195,40 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         figure9_plan,
         description="Energy per bit and goodput vs. net size, JTP vs. ATP vs. TCP (linear)",
         smoke_kwargs={"net_sizes": (3, 5), "transfer_bytes": 60_000, "duration": 400},
+        claims=(
+            Claim(
+                "figure9.jtp_energy_le_atp",
+                "at the longest path, JTP energy per bit <= ATP's x 1.05",
+                _compare(
+                    "protocol", "jtp", "atp",
+                    lambda jtp, atp: jtp["energy_per_bit_uJ"] <= atp["energy_per_bit_uJ"] * 1.05,
+                    per="netSize", largest=True,
+                ),
+            ),
+            Claim(
+                "figure9.jtp_energy_lt_tcp",
+                "at the longest path, JTP energy per bit < TCP's",
+                _compare(
+                    "protocol", "jtp", "tcp",
+                    lambda jtp, tcp: jtp["energy_per_bit_uJ"] < tcp["energy_per_bit_uJ"],
+                    per="netSize", largest=True,
+                ),
+            ),
+            Claim(
+                "figure9.jtp_goodput_gt_tcp",
+                "at the longest path, JTP goodput > TCP's",
+                _compare(
+                    "protocol", "jtp", "tcp",
+                    lambda jtp, tcp: jtp["goodput_kbps"] > tcp["goodput_kbps"],
+                    per="netSize", largest=True,
+                ),
+            ),
+            Claim(
+                "figure9.energy_grows_with_path",
+                "for every protocol, energy per bit at the longest path > at the shortest",
+                _figure9_energy_grows,
+            ),
+        ),
         plot=PlotSpec(
             figure="figure9",
             x="netSize",
@@ -954,6 +1247,26 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         figure10_plan,
         description="Energy per bit and goodput on static random topologies",
         smoke_kwargs={"net_sizes": (10,), "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
+        claims=(
+            Claim(
+                "figure10.jtp_energy_lt_tcp",
+                "at every net size, JTP energy per bit < TCP's",
+                _compare(
+                    "protocol", "jtp", "tcp",
+                    lambda jtp, tcp: jtp["energy_per_bit_uJ"] < tcp["energy_per_bit_uJ"],
+                    per="netSize",
+                ),
+            ),
+            Claim(
+                "figure10.jtp_goodput_gt_tcp",
+                "at every net size, JTP goodput > TCP's",
+                _compare(
+                    "protocol", "jtp", "tcp",
+                    lambda jtp, tcp: jtp["goodput_kbps"] > tcp["goodput_kbps"],
+                    per="netSize",
+                ),
+            ),
+        ),
         plot=PlotSpec(
             figure="figure10",
             x="netSize",
@@ -972,6 +1285,22 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         figure11_plan,
         description="Energy per bit, goodput and recovery split under mobility",
         smoke_kwargs={"speeds": (1.0,), "num_nodes": 10, "num_flows": 3, "transfer_bytes": 30_000, "duration": 400},
+        claims=(
+            Claim(
+                "figure11.jtp_goodput_gt_tcp",
+                "at every node speed, JTP goodput > TCP's",
+                _compare(
+                    "protocol", "jtp", "tcp",
+                    lambda jtp, tcp: jtp["goodput_kbps"] > tcp["goodput_kbps"],
+                    per="speed_mps",
+                ),
+            ),
+            Claim(
+                "figure11.cache_recovers_under_mobility",
+                "some JTP row has cache hits per kpkt > 0",
+                _figure11_cache_recovers,
+            ),
+        ),
         plot=PlotSpec(
             figure="figure11",
             x="speed_mps",
@@ -993,6 +1322,24 @@ ALL_FIGURES: Tuple[FigureJob, ...] = (
         table2_plan,
         description="Testbed-like comparison over stable links with a Poisson workload",
         smoke_kwargs={"num_nodes": 8, "duration": 300},
+        claims=(
+            Claim(
+                "table2.jtp_energy_le_atp",
+                "JTP energy per bit <= ATP's x 1.1",
+                _compare(
+                    "protocol", "jtp", "atp",
+                    lambda jtp, atp: jtp["energy_per_bit_mJ"] <= atp["energy_per_bit_mJ"] * 1.1,
+                ),
+            ),
+            Claim(
+                "table2.jtp_energy_lt_tcp",
+                "JTP energy per bit < TCP's",
+                _compare(
+                    "protocol", "jtp", "tcp",
+                    lambda jtp, tcp: jtp["energy_per_bit_mJ"] < tcp["energy_per_bit_mJ"],
+                ),
+            ),
+        ),
         plot=PlotSpec(
             figure="table2",
             x="protocol",

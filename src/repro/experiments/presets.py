@@ -10,16 +10,15 @@ re-hardcoded by every driver:
   counts, expanded into concrete seed lists with
   :func:`~repro.experiments.parallel.spawn_seeds`.
 * :data:`SMOKE_LINEAR` / :data:`SMOKE_RANDOM` — the scaled-down counts
-  used by CI and the benchmark harness, mirroring the paper's 20:10
+  used by CI and the figure bench, mirroring the paper's 20:10
   linear-to-random replication ratio.  Smoke seed lists are small
-  literal seeds (``(1, 2)`` / ``(1,)``) in the style the bench drivers
-  have always used, rather than spawned seeds.
+  literal seeds (``(1, 2)`` / ``(1,)``) rather than spawned seeds.
 * :func:`preset_seeds` — turn a preset name (or an explicit count) plus
   a scenario family into the seed list.
 * :func:`figure_job` — the registry entry
   (:class:`~repro.experiments.figures.FigureJob`) of a figure or fault
-  workload by name: the one name lookup shared by :func:`run_paper`,
-  ``python -m repro.plots`` and the benchmark harness.  The entries
+  workload by name: the one name lookup shared by :func:`run_paper`
+  and ``python -m repro.plots``.  The entries
   themselves are declared next to their builders, in
   :data:`~repro.experiments.figures.ALL_FIGURES` and
   :data:`~repro.experiments.workloads.WORKLOAD_JOBS`.
@@ -84,9 +83,9 @@ def preset_seeds(
     ``"paper"`` expands the paper's replication count for the scenario
     family (``"linear"`` or ``"random"``) via :func:`spawn_seeds`;
     ``"smoke"`` returns small literal seed lists (``(1, 2)`` for linear
-    figures, ``(1,)`` for random ones) in the bench drivers' historical
-    style; an ``int`` is a replication count expanded via
-    :func:`spawn_seeds`; and an explicit sequence passes through.
+    figures, ``(1,)`` for random ones); an ``int`` is a replication
+    count expanded via :func:`spawn_seeds`; and an explicit sequence
+    passes through.
     """
     if isinstance(seeds, str):
         try:
@@ -110,8 +109,8 @@ _JOBS_BY_NAME: Dict[str, FigureJob] = {job.name: job for job in ALL_FIGURES + WO
 def figure_job(name: str) -> FigureJob:
     """The registry entry of a paper figure or fault workload, by name.
 
-    Raises :class:`ValueError` naming the known jobs, so a CLI or bench
-    caller gets an actionable message instead of a bare ``KeyError``.
+    Raises :class:`ValueError` naming the known jobs, so a CLI caller
+    gets an actionable message instead of a bare ``KeyError``.
     """
     try:
         return _JOBS_BY_NAME[name]
@@ -212,8 +211,9 @@ def run_paper(
     the same mapping is persisted as a run directory
     (:func:`~repro.experiments.results.save_run`) whose manifest records
     the preset, resolved per-family seed lists, backend, base seed, git
-    provenance, the cell-cache hit/store counts and (when profiling)
-    the core profile.
+    provenance, the cell-cache hit/store counts, every figure's claim
+    verdicts (:meth:`~repro.experiments.figures.FigureJob.check`) and
+    (when profiling) the core profile.
 
     With ``out_dir`` the run is also **incremental**: every finished
     metric cell is persisted into ``<out_dir>/cells/``
@@ -348,6 +348,9 @@ def run_paper(
             "workers": resolved.workers,
             "figure_params": provenance["figure_params"],
             "git": git_metadata(),
+            # The paper's qualitative claims on these rows; never a cache
+            # or comparison key (docs/results.md).
+            "claims": {job.name: job.check(results[job.name]) for job in jobs},
         }
         if store is not None:
             # How much of the run came from the resume cache: reused =

@@ -17,9 +17,9 @@ module renders those gaps:
 
 The provenance fields the gate reads are exactly the ones
 ``run_paper(out_dir=…)`` writes into ``manifest.json`` (see
-``docs/results.md``).  Runs produced by other writers (the benchmark
-harness's incremental ``save_rows``) have no such metadata; they
-compare as compatible and the gate relies on the caller knowing the
+``docs/results.md``).  A key that both runs lack — runs written by
+other ``save_run`` callers such as ``protocol_shootout.py --out`` —
+compares as compatible, and the gate relies on the caller knowing the
 runs match.
 """
 

@@ -9,6 +9,8 @@ The suite pins three layers:
 * the **renderers** — a tiny run of every registered job (drastically
   shrunk) persists to a run directory and renders to one valid PNG per
   job, trace figures and workloads included, with nothing re-simulated;
+* the **claims** — every registered job's claim checks return a
+  verdict, and never raise, on the same tiny rows;
 * **run comparison** — overlay/delta images for compatible runs, a
   :class:`RunMismatchError` for runs whose manifests disagree on what
   was simulated, and ``force=True`` to override.
@@ -140,6 +142,25 @@ class TestPlotSpecs:
         with pytest.raises(ValueError, match="known: .*'figure3'"):
             figure_job("figure99")
         assert figure_job("figure3") is ALL_FIGURES[0]
+
+
+class TestClaims:
+    def test_claims_never_raise_on_test_sized_rows(self, tiny_run):
+        run_dir, results = tiny_run
+        stored = load_run(run_dir)
+        for job in JOBS:
+            for rows in (results[job.name], stored.rows[job.name], []):
+                verdicts = job.check(rows)
+                assert list(verdicts) == [claim.id for claim in job.claims]
+                assert set(verdicts.values()) <= {"pass", "fail", "n/a"}, (job.name, verdicts)
+        assert stored.metadata["claims"] == {job.name: job.check(results[job.name]) for job in JOBS}
+
+    def test_claim_ids_are_unique_and_prefixed_by_their_figure(self):
+        ids = [claim.id for job in JOBS for claim in job.claims]
+        assert len(ids) == len(set(ids))
+        for job in JOBS:
+            for claim in job.claims:
+                assert claim.id.startswith(f"{job.name}."), claim.id
 
 
 class TestPrepareFigure:

@@ -200,6 +200,33 @@ class TestRunPaper:
         assert stored.metadata["figure_params"]["table2"]["num_nodes"] == 6
 
 
+class TestRunPaperClaims:
+    #: The verdicts a full smoke run produces, pinned as measured so a
+    #: claim that flips fails here.  Smoke scale is too small for some
+    #: of the paper's orderings; the figure bench requires every claim
+    #: to pass at bench scale instead.
+    SMOKE_NOT_PASSING: ClassVar[Dict[str, str]] = {
+        # One 10-node random topology, one seed: TCP out-delivers JTP.
+        "figure10.jtp_goodput_gt_tcp": "fail",
+        # One speed, one 10-node seed: TCP out-delivers JTP and no JTP
+        # packet is recovered from a cache.
+        "figure11.jtp_goodput_gt_tcp": "fail",
+        "figure11.cache_recovers_under_mobility": "fail",
+        # Smoke cache sizes are (2, 10): the claims compare sizes 2, 5
+        # and 100.
+        "figure6.tiny_cache_more_source_rtx": "n/a",
+        "figure6.big_cache_le_small": "n/a",
+    }
+
+    def test_smoke_run_records_every_claim_verdict(self, tmp_path):
+        run_paper(seeds="smoke", workers=0, out_dir=tmp_path)
+        expected = {
+            job.name: {claim.id: self.SMOKE_NOT_PASSING.get(claim.id, "pass") for claim in job.claims}
+            for job in ALL_FIGURES
+        }
+        assert load_run(tmp_path).metadata["claims"] == expected
+
+
 class TestRunPaperProgress:
     OVERRIDES: ClassVar[Dict[str, Dict[str, object]]] = {
         "figure4b": {"num_nodes": 3, "transfer_bytes": 4_000, "duration": 80},

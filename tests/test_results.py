@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.experiments.results as results_store
 from repro.experiments.report import format_run
 from repro.experiments.report import main as report_main
 from repro.experiments.results import (
@@ -40,14 +41,6 @@ class TestSaveLoad:
         assert lines[1] == "3,jtp,1.25,"
         assert lines[2] == "5,atp,2.5,"
 
-    def test_loader_appends_row_files_missing_from_manifest(self, tmp_path):
-        # The benchmark harness persists figures incrementally with
-        # save_rows and never writes a manifest; nothing may be dropped.
-        save_rows(tmp_path, "adhoc", ROWS)
-        run = load_run(tmp_path)
-        assert run.figures == ["adhoc"]
-        assert run.manifest == {}
-
     def test_reused_out_dir_drops_stale_figures(self, tmp_path):
         # A second run into the same directory must not leak the first
         # run's figures (rows or CSVs) into the new manifest's results.
@@ -58,27 +51,6 @@ class TestSaveLoad:
         assert run.metadata == {"run": "new"}
         assert not (tmp_path / "figure9.json").exists()
         assert not (tmp_path / "figure9.csv").exists()
-
-    def test_incremental_save_rows_registers_in_existing_manifest(self, tmp_path):
-        # The REPRO_RUN_DIR bench flow: rows appended to a run_paper
-        # directory after its manifest was written must not vanish from
-        # load_run (the manifest's figure list is authoritative).
-        save_run({"fig": ROWS}, tmp_path, metadata={"run": "paper"})
-        save_rows(tmp_path, "ablation", ROWS)
-        run = load_run(tmp_path)
-        assert run.figures == ["fig", "ablation"]
-        assert run.metadata == {"run": "paper"}
-        assert "amended" not in run.manifest
-
-    def test_same_name_overwrite_is_flagged_as_amended(self, tmp_path):
-        # Overwriting a manifested figure via incremental save_rows
-        # means the manifest's metadata no longer describes those rows;
-        # the manifest must say so.
-        save_run({"fig": ROWS}, tmp_path, metadata={"run": "paper"})
-        save_rows(tmp_path, "fig", [{"a": 99}])
-        run = load_run(tmp_path)
-        assert run.rows["fig"] == [{"a": 99}]
-        assert run.manifest["amended"] == ["fig"]
 
     def test_save_run_leaves_foreign_files_alone(self, tmp_path):
         # Neither arbitrary JSON nor a foreign export that merely has a
@@ -92,11 +64,6 @@ class TestSaveLoad:
         assert (tmp_path / "data.json").exists()
         assert (tmp_path / "data.csv").exists()
 
-    def test_loader_skips_non_row_store_json_without_manifest(self, tmp_path):
-        save_rows(tmp_path, "fig", ROWS)
-        (tmp_path / "coverage.json").write_text('{"totals": 1}')
-        assert load_run(tmp_path).figures == ["fig"]
-
     def test_load_rows_rejects_non_row_store_files(self, tmp_path):
         (tmp_path / "fig.json").write_text('{"totals": 1}')
         with pytest.raises(ValueError):
@@ -105,6 +72,24 @@ class TestSaveLoad:
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_run(tmp_path / "nope")
+
+    def test_interrupted_save_run_does_not_load(self, tmp_path, monkeypatch):
+        # save_run writes the manifest last: a save that dies after the
+        # first figure leaves a row prefix that must not load as a run.
+        calls = []
+
+        def save_rows_then_fail(directory, name, rows):
+            calls.append(name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return save_rows(directory, name, rows)
+
+        monkeypatch.setattr(results_store, "save_rows", save_rows_then_fail)
+        with pytest.raises(OSError):
+            save_run({"first": ROWS, "second": ROWS}, tmp_path)
+        assert (tmp_path / "first.json").exists()
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            load_run(tmp_path)
 
     def test_manifest_naming_a_missing_row_file_raises(self, tmp_path):
         write_manifest(tmp_path, ["ghost"])
