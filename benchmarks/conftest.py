@@ -20,7 +20,8 @@ repository root; the benchmarks are additive.  Environment knobs:
 
 ``REPRO_WORKERS``
     Executor parallelism for the metric figures.  Unset means the
-    shared persistent ``AsyncBackend`` pool with one worker per core;
+    ``REPRO_ASYNC_ENDPOINT`` agents when that is set, else a persistent
+    ``AsyncBackend`` pool with one worker per core;
     ``0`` (or ``1``) means the serial backend — no pool at all.
 ``REPRO_BENCH_NO_ASSERT``
     When set (non-empty), ``bench_parallel_scaling.py`` skips its
@@ -44,8 +45,8 @@ from repro.experiments.backends import workers_from_env
 def bench_workers() -> Optional[int]:
     """Worker count for the metric figures (``REPRO_WORKERS``).
 
-    Unset means ``None`` — the figures then use the shared persistent
-    ``AsyncBackend`` pool with one worker per core.  ``0`` and ``1`` both select
+    Unset means ``None`` — the figures then use ``resolve_backend()``'s
+    default pool (see ``REPRO_WORKERS`` above).  ``0`` and ``1`` both select
     the serial backend; the rows are bit-identical either way, only the
     wall-clock changes.
     """

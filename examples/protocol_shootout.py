@@ -5,12 +5,12 @@ increasing length under JTP, the ATP-like explicit-rate baseline and
 rate-paced TCP-SACK, and prints energy per delivered bit and per-flow
 goodput for each — a scaled-down regeneration of the paper's Figure 9.
 
-The per-seed runs execute on a pluggable backend: by default they fan
-out over the shared persistent worker pool, ``--backend async`` builds
-a private pool (remote TCP agents when ``REPRO_ASYNC_ENDPOINT`` is set,
-sharing the key in ``REPRO_ASYNC_AUTHKEY``),
-and ``--backend serial`` (or ``--workers 0``) runs in-process.
-``--seeds N`` scales the replication; ``--paper``
+The per-seed runs execute on the backend ``--workers`` selects:
+``--workers 0`` runs in-process, ``--workers N`` fans out over a local
+pool of N persistent workers, and with no ``--workers`` the runs go to
+the remote TCP agents named by ``REPRO_ASYNC_ENDPOINT`` (sharing the
+key in ``REPRO_ASYNC_AUTHKEY``) when that is set, else to a local pool
+with one worker per core.  ``--seeds N`` scales the replication; ``--paper``
 uses the paper's replication count (:data:`PAPER_LINEAR` seeds per
 cell).  The printed rows are bit-identical for every backend and worker
 count.
@@ -25,12 +25,12 @@ renders the run to ``DIR/plots/figure9.png`` through :mod:`repro.plots`
 
 Run with::
 
-    python examples/protocol_shootout.py [--workers N] [--backend NAME] [--seeds N | --paper] [--out DIR [--plots]]
+    python examples/protocol_shootout.py [--workers N] [--seeds N | --paper] [--out DIR [--plots]]
 """
 
 import argparse
 
-from repro.experiments.backends import BACKENDS, make_backend, resolve_backend
+from repro.experiments.backends import resolve_backend
 from repro.experiments.figures import figure9_plan
 from repro.experiments.presets import PAPER_LINEAR, SMOKE_LINEAR, preset_seeds
 from repro.experiments.report import format_table
@@ -40,9 +40,8 @@ from repro.experiments.results import git_metadata, save_run
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count (default: one per CPU core; 0 or 1 = serial)")
-    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                        help="executor backend (default: the shared persistent worker pool)")
+                        help="worker count (0 or 1 = serial; default: the REPRO_ASYNC_ENDPOINT "
+                        "agents if set, else one per CPU core)")
     parser.add_argument("--seeds", type=int, default=None,
                         help=f"independent replications per cell (default: {SMOKE_LINEAR})")
     parser.add_argument("--paper", action="store_true",
@@ -62,12 +61,7 @@ def main() -> None:
     else:
         seeds = preset_seeds("smoke", family="linear")
 
-    if args.backend is not None:
-        # Passed verbatim: pooled backends reject workers<=0 loudly
-        # rather than silently falling back to a cpu_count pool.
-        backend = make_backend(args.backend, workers=args.workers)
-    else:
-        backend = resolve_backend(workers=args.workers)
+    backend = resolve_backend(workers=args.workers)
 
     plan = figure9_plan(
         net_sizes=(3, 5, 7),

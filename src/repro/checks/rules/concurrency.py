@@ -1,17 +1,17 @@
 """Concurrency contracts for the scheduler/backends layer.
 
-ASY001 (whole-program): nothing reachable from an ``async def`` in
+ASY001 (whole-program): nothing reachable from
+``AsyncScheduler._dispatch`` — the dispatch thread's loop — within
 ``repro.experiments.scheduler`` / ``repro.experiments.backends`` may
-block the event loop — no ``time.sleep``, no direct
-``multiprocessing.connection.wait``/``select`` calls, no unguarded
-``Connection.recv()`` and no unbounded ``Process.join()``.  The
-AsyncScheduler's dispatch loop is a plain thread that blocks only in
-its one bounded ``connection.wait`` tick; any event loop added to this
-layer must not block at all, because one blocking call there would
-stall retry timers, backpressure and timeouts for the whole fleet,
-which shows up as flaky timeout tests rather than an obvious failure.
-Reachability comes from the project call graph, so a blocking call
-hidden two helpers deep is still found.
+block that thread: no ``time.sleep``, no ``multiprocessing.connection.wait``
+/ ``select`` call without a timeout, no unguarded ``Connection.recv()``
+and no unbounded ``Process.join()``.  The loop's one sanctioned block
+is its bounded ``connection.wait(..., _TICK_SECONDS)`` tick; anything
+longer would stall retry timers, backpressure and timeouts for the
+whole fleet, which shows up as flaky timeout tests rather than an
+obvious failure.  Reachability comes from the project call graph
+(nested helpers such as ``drain`` included), so a blocking call hidden
+two helpers deep is still found.
 
 ASY002 (per-file): every ``Pipe``/``Process``/executor/socket/
 ``Connection`` resource acquired inside a function in those modules —
@@ -36,15 +36,28 @@ from repro.checks.source import ModuleSource
 #: The concurrency layer both rules scope themselves to.
 _CONCURRENCY_MODULES = ("repro.experiments.scheduler", "repro.experiments.backends")
 
+#: The dispatch thread's loop: every ASY001 walk starts here.
+_DISPATCH_ROOT = "repro.experiments.scheduler.AsyncScheduler._dispatch"
+
 #: Dotted call targets that block the calling thread outright.
 _BLOCKING_CALLS = {
-    "time.sleep": "time.sleep blocks the event loop; use asyncio.sleep or run_in_executor",
+    "time.sleep": "time.sleep blocks the dispatch thread; wait on the loop's tick instead",
     "multiprocessing.connection.wait": (
-        "multiprocessing.connection.wait blocks the event loop; route it "
-        "through loop.run_in_executor"
+        "multiprocessing.connection.wait without a timeout blocks the dispatch thread; "
+        "pass a bounded timeout such as _TICK_SECONDS"
     ),
-    "select.select": "select.select blocks the event loop; use run_in_executor",
-    "selectors.DefaultSelector.select": "a blocking selector call stalls the event loop",
+    "select.select": "select.select without a timeout blocks the dispatch thread; pass a bounded timeout",
+    "selectors.DefaultSelector.select": (
+        "a selector call without a timeout blocks the dispatch thread; pass a bounded timeout"
+    ),
+}
+
+#: Position of the ``timeout`` argument of the calls above that take one;
+#: passing a timeout (positionally or by keyword, not ``None``) bounds the wait.
+_TIMEOUT_POSITION = {
+    "multiprocessing.connection.wait": 1,
+    "select.select": 3,
+    "selectors.DefaultSelector.select": 0,
 }
 
 #: Receiver-name fragments that identify a process/thread handle.
@@ -69,35 +82,32 @@ def _attr_chain(node: ast.expr) -> List[str]:
 
 @register
 class AsyncBlockingRule(ProjectRule):
-    """ASY001: no blocking calls reachable from the async dispatch loop."""
+    """ASY001: no blocking calls reachable from the scheduler's dispatch thread."""
 
     id = "ASY001"
-    summary = "no blocking I/O, time.sleep or unbounded join reachable from async code in the scheduler layer"
+    summary = "no blocking I/O, time.sleep or unbounded join reachable from AsyncScheduler._dispatch"
     rationale = (
-        "An event loop in the scheduler layer multiplexes every worker "
-        "it serves; a single blocking call in anything it awaits stalls "
-        "retries, backpressure and timeouts fleet-wide. The contract is "
-        "checked transitively over the project call graph because the "
-        "blocking call is never in the async def itself — it hides in a "
-        "sync helper two frames down."
+        "The dispatch thread multiplexes every worker it serves and "
+        "blocks only in its bounded connection.wait tick; a single "
+        "blocking call in anything it runs stalls retries, backpressure "
+        "and timeouts fleet-wide. The contract is checked transitively "
+        "over the project call graph because the blocking call is never "
+        "in the loop itself — it hides in a helper two frames down."
     )
     packages = _CONCURRENCY_MODULES
 
-    def check(self, project: Project) -> Iterator[Finding]:
+    @staticmethod
+    def reachable(project: Project) -> Set[str]:
+        """Definitions reachable from the dispatch loop inside the concurrency layer."""
         scope_modules = {
             name
             for name in project.modules
             if any(name == m or name.startswith(m + ".") for m in _CONCURRENCY_MODULES)
         }
-        if not scope_modules:
-            return
-        roots = [
-            fq
-            for fq, definition in sorted(project.definitions.items())
-            if definition.is_async and definition.module in scope_modules
-        ]
-        reachable = project.reachable_from(roots, within_modules=scope_modules)
-        for fq in sorted(reachable):
+        return project.reachable_from([_DISPATCH_ROOT], within_modules=scope_modules)
+
+    def check(self, project: Project) -> Iterator[Finding]:
+        for fq in sorted(self.reachable(project)):
             definition = project.definitions[fq]
             if definition.kind == "class":
                 continue
@@ -161,12 +171,13 @@ class AsyncBlockingRule(ProjectRule):
     ) -> Iterator[Finding]:
         resolved = imap.resolve(call.func)
         if resolved is not None and resolved in _BLOCKING_CALLS:
-            yield self.finding(
-                source.path,
-                call.lineno,
-                call.col_offset,
-                f"{_BLOCKING_CALLS[resolved]} (reachable from async code via {fq})",
-            )
+            if not self._passes_timeout(call, _TIMEOUT_POSITION.get(resolved)):
+                yield self.finding(
+                    source.path,
+                    call.lineno,
+                    call.col_offset,
+                    f"{_BLOCKING_CALLS[resolved]} (reachable from the dispatch thread via {fq})",
+                )
             return
         if not isinstance(call.func, ast.Attribute):
             return
@@ -178,8 +189,8 @@ class AsyncBlockingRule(ProjectRule):
                     call.lineno,
                     call.col_offset,
                     "Connection.recv() without a poll() guard can block the "
-                    f"dispatch loop (reachable from async code via {fq}); guard "
-                    "with .poll() or move the read to an executor",
+                    f"dispatch thread (reachable from the dispatch thread via {fq}); "
+                    "guard it with .poll()",
                 )
         elif attr == "join":
             chain = [part.lower() for part in _attr_chain(call.func.value)]
@@ -191,9 +202,19 @@ class AsyncBlockingRule(ProjectRule):
                     call.lineno,
                     call.col_offset,
                     "unbounded .join() on a process/thread handle can block the "
-                    f"dispatch loop (reachable from async code via {fq}); pass a "
-                    "timeout or join in an executor",
+                    f"dispatch thread (reachable from the dispatch thread via {fq}); "
+                    "pass a timeout",
                 )
+
+    @staticmethod
+    def _passes_timeout(call: ast.Call, position: Optional[int]) -> bool:
+        """Whether ``call`` passes a non-``None`` timeout (``position`` is its positional slot)."""
+        if position is None:
+            return False
+        given = [kw.value for kw in call.keywords if kw.arg == "timeout"]
+        if len(call.args) > position:
+            given.append(call.args[position])
+        return any(not (isinstance(arg, ast.Constant) and arg.value is None) for arg in given)
 
 
 # --- ASY002 ------------------------------------------------------------------------------------

@@ -11,8 +11,9 @@
 * :mod:`repro.experiments.backends` — pluggable executor backends
   (:class:`SerialBackend`, and :class:`AsyncBackend`, the one worker
   pool: a scheduler with backpressure, work stealing and retry over
-  persistent local worker processes or remote TCP agents, shared per
-  worker count by default — ``docs/distributed.md``);
+  persistent local worker processes or remote TCP agents) and
+  :func:`resolve_backend`, which turns ``workers=`` into a backend and
+  caches one pool per worker count (``docs/distributed.md``);
 * :mod:`repro.experiments.parallel` — :func:`run_grids`, the one entry
   point that runs ``(specs, seeds)`` grids over a backend as one
   interleaved batch, returning picklable :class:`ScenarioRecord`
@@ -89,10 +90,7 @@ from repro.experiments.backends import (
     AsyncBackend,
     ExecutorBackend,
     SerialBackend,
-    close_shared_backends,
-    make_backend,
     resolve_backend,
-    shared_backend,
     workers_from_env,
 )
 from repro.experiments.parallel import (
@@ -138,10 +136,7 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "AsyncBackend",
-    "make_backend",
     "resolve_backend",
-    "shared_backend",
-    "close_shared_backends",
     "workers_from_env",
     "run_grids",
     "ScenarioRecord",

@@ -31,21 +31,16 @@ execution strategy into a first-class object:
 
 Module helpers:
 
-* :func:`shared_backend` — the per-process registry of shared local
-  :class:`AsyncBackend` pools, keyed by worker count.  This is what
-  makes "one pool for the whole paper run" the default: every figure
-  call that asks for the same worker count gets the same pool.
 * :func:`resolve_backend` — the single place that turns a
-  ``workers=``/``backend=`` pair into a backend instance.  ``workers``
-  of ``0`` or ``1`` mean :class:`SerialBackend`; anything else is a
-  shared local :class:`AsyncBackend`.
+  ``workers=``/``backend=`` pair into a backend instance, and the only
+  code that reads the environment for one.  ``workers`` of ``0`` or
+  ``1`` mean :class:`SerialBackend`; ``N > 1`` the cached local
+  :class:`AsyncBackend` for that count, so every figure call asking for
+  the same parallelism shares one pool; unset means the remote pool
+  named by ``REPRO_ASYNC_ENDPOINT`` when that is set, else the local
+  pool for ``os.cpu_count()``.
 * :func:`workers_from_env` — ``REPRO_WORKERS`` plumbing shared by the
-  benchmark harness and the examples (``0`` means the serial backend).
-* :func:`async_workers_from_env` / :func:`async_retries_from_env` /
-  :func:`async_timeout_from_env` — the :class:`AsyncBackend` env seams
-  (``REPRO_ASYNC_WORKERS``, ``REPRO_ASYNC_RETRIES``,
-  ``REPRO_ASYNC_TIMEOUT``), applied when the corresponding constructor
-  argument is left unset.
+  benchmark harness (``0`` means the serial backend).
 
 Every backend must preserve the harness invariant: because each
 simulation run is fully determined by its seed and results come back in
@@ -61,6 +56,7 @@ is a single drain of a single pool regardless of backend.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import threading
@@ -68,7 +64,13 @@ from abc import ABC, abstractmethod
 from types import TracebackType
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
 
-from repro.experiments.remote import authkey_from_env, parse_endpoint
+from repro.experiments.remote import (
+    LocalProcessTransport,
+    TcpTransport,
+    WorkerTransport,
+    authkey_from_env,
+    parse_endpoint,
+)
 from repro.experiments.scheduler import AsyncCellError, AsyncScheduler
 
 _T = TypeVar("_T")
@@ -78,16 +80,8 @@ __all__ = [
     "SerialBackend",
     "AsyncBackend",
     "AsyncCellError",
-    "BACKENDS",
-    "make_backend",
     "resolve_backend",
-    "shared_backend",
-    "close_shared_backends",
     "workers_from_env",
-    "async_workers_from_env",
-    "async_retries_from_env",
-    "async_timeout_from_env",
-    "async_endpoint_from_env",
 ]
 
 
@@ -108,69 +102,9 @@ def workers_from_env(default: Optional[int] = None) -> Optional[int]:
     return workers
 
 
-def async_workers_from_env(default: Optional[int] = None) -> Optional[int]:
-    """Worker-process count for :class:`AsyncBackend` via ``REPRO_ASYNC_WORKERS``.
-
-    Unset (or empty) returns ``default``.  Unlike ``REPRO_WORKERS``
-    there is no serial-fallback zero: the async backend always runs its
-    scheduler, so the value must be >= 1.
-    """
-    value = os.environ.get("REPRO_ASYNC_WORKERS", "").strip()
-    if not value:
-        return default
-    workers = int(value)
-    if workers < 1:
-        raise ValueError(f"REPRO_ASYNC_WORKERS must be >= 1, got {workers}")
-    return workers
-
-
-def async_retries_from_env(default: int = 2) -> int:
-    """Retry budget for :class:`AsyncBackend` cells via ``REPRO_ASYNC_RETRIES``.
-
-    The number of *additional* attempts a failed cell gets (crash,
-    exception or timeout) before the batch fails with
-    :class:`~repro.experiments.scheduler.AsyncCellError`.  ``0``
-    disables retries; unset (or empty) returns ``default``.
-    """
-    value = os.environ.get("REPRO_ASYNC_RETRIES", "").strip()
-    if not value:
-        return default
-    retries = int(value)
-    if retries < 0:
-        raise ValueError(f"REPRO_ASYNC_RETRIES must be >= 0, got {retries}")
-    return retries
-
-
-def async_timeout_from_env(default: Optional[float] = None) -> Optional[float]:
-    """Per-cell timeout (seconds) for :class:`AsyncBackend` via ``REPRO_ASYNC_TIMEOUT``.
-
-    A cell running longer than this is killed (its worker is respawned)
-    and retried.  ``0`` (or a negative value) disables the timeout;
-    unset (or empty) returns ``default``.
-    """
-    value = os.environ.get("REPRO_ASYNC_TIMEOUT", "").strip()
-    if not value:
-        return default
-    timeout = float(value)
-    if timeout <= 0:
-        return None
-    return timeout
-
-
-def async_endpoint_from_env(default: Optional[str] = None) -> Optional[str]:
-    """Remote worker endpoint for :class:`AsyncBackend` via ``REPRO_ASYNC_ENDPOINT``.
-
-    A ``tcp://host:port[,host2:port2,...]`` list naming the worker
-    agents the scheduler should connect to instead of spawning local
-    worker processes (start each agent with ``python -m
-    repro.experiments.remote --listen host:port``).  Unset (or empty)
-    returns ``default``.  The value's syntax is validated when the
-    backend is built, by :func:`repro.experiments.remote.parse_endpoint`.
-    """
-    value = os.environ.get("REPRO_ASYNC_ENDPOINT", "").strip()
-    if not value:
-        return default
-    return value
+def _remote_endpoint_from_env() -> Optional[str]:
+    """``REPRO_ASYNC_ENDPOINT``: the agents :func:`resolve_backend` uses when ``workers`` is unset."""
+    return os.environ.get("REPRO_ASYNC_ENDPOINT", "").strip() or None
 
 
 class ExecutorBackend(ABC):
@@ -188,7 +122,7 @@ class ExecutorBackend(ABC):
       them.
     """
 
-    #: Short backend name, also the key in :data:`BACKENDS`.
+    #: Short backend name, recorded in run manifests.
     name: str = "abstract"
     #: Degree of parallelism this backend was configured for.
     workers: int = 1
@@ -261,15 +195,6 @@ class SerialBackend(ExecutorBackend):
         return (fn(item) for item in items)
 
 
-def _positive_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1 for a pooled backend, got {workers}")
-    return workers
-
-
 class AsyncBackend(ExecutorBackend):
     """A dispatch thread over a pool of persistent worker processes.
 
@@ -310,25 +235,23 @@ class AsyncBackend(ExecutorBackend):
     raise :class:`TypeError` up front, naming :class:`ScenarioSpec` as
     the picklable alternative.
 
-    Constructor arguments left at ``None`` fall back to the env seams:
-    ``endpoint`` to ``REPRO_ASYNC_ENDPOINT`` (default: local workers),
-    ``workers`` to ``REPRO_ASYNC_WORKERS`` (then ``os.cpu_count()``),
-    ``max_retries`` to ``REPRO_ASYNC_RETRIES`` (default 2), and
-    ``task_timeout`` to ``REPRO_ASYNC_TIMEOUT`` (default: no timeout).
-    ``window`` defaults to ``2 * workers`` and is clamped to at least
-    ``workers``; ``steal_after`` is the straggler age (seconds) before
-    an idle worker duplicates it; ``connect_timeout`` bounds each remote
-    connection attempt, authentication included.  ``stats`` exposes
-    cumulative scheduler counters (``retries``, ``steals``,
-    ``respawns``, ``timeouts``, ``failures``) for tests and
-    diagnostics.  See ``docs/distributed.md`` for the full
-    architecture notes.
+    The constructor reads only its arguments.  ``endpoint=None`` always
+    means local worker processes, and ``workers=None`` means
+    ``os.cpu_count()`` of them (one per address with an endpoint).
+    ``max_retries`` (default 2) is the number of extra attempts a failed
+    cell gets; ``task_timeout`` (default: none) kills and retries a cell
+    running longer than that many seconds; ``retry_base_delay`` starts
+    the backoff, which doubles per attempt up to 2 s.  ``window``
+    defaults to ``2 * workers`` and is clamped to at least ``workers``;
+    ``steal_after`` is the straggler age (seconds) before an idle worker
+    duplicates it; ``connect_timeout`` bounds each remote connection
+    attempt, authentication included.  ``stats`` exposes cumulative
+    scheduler counters (``retries``, ``steals``, ``respawns``,
+    ``timeouts``, ``failures``) for tests and diagnostics.  See
+    ``docs/distributed.md`` for the full architecture notes.
     """
 
     name = "async"
-
-    #: Whether an unset ``endpoint`` falls back to ``REPRO_ASYNC_ENDPOINT``.
-    _endpoint_from_env = True
 
     def __init__(
         self,
@@ -336,54 +259,54 @@ class AsyncBackend(ExecutorBackend):
         workers: Optional[int] = None,
         *,
         window: Optional[int] = None,
-        max_retries: Optional[int] = None,
+        max_retries: int = 2,
         retry_base_delay: float = 0.05,
-        retry_max_delay: float = 2.0,
         task_timeout: Optional[float] = None,
         steal_after: float = 0.25,
         connect_timeout: float = 5.0,
     ) -> None:
-        if endpoint is None and self._endpoint_from_env:
-            endpoint = async_endpoint_from_env()
         self.endpoint = endpoint
-        endpoints: Optional[List[Tuple[str, int]]] = None
-        authkey = b""
+        self._addresses: Optional[List[Tuple[str, int]]] = None
+        self._authkey = b""
+        self._connect_timeout = connect_timeout
         if endpoint is not None:
-            endpoints = parse_endpoint(endpoint)
-            authkey = authkey_from_env()
+            self._addresses = parse_endpoint(endpoint)
+            self._authkey = authkey_from_env()
             if workers is None:
-                workers = len(endpoints)
-            elif workers != len(endpoints):
+                workers = len(self._addresses)
+            elif workers != len(self._addresses):
                 raise ValueError(
-                    f"workers={workers} does not match the {len(endpoints)} "
+                    f"workers={workers} does not match the {len(self._addresses)} "
                     f"address(es) in endpoint={endpoint!r}; each remote worker "
                     "agent serves exactly one scheduler connection"
                 )
-        if workers is None:
-            workers = async_workers_from_env()
-        self.workers = _positive_workers(workers)
-        if max_retries is None:
-            max_retries = async_retries_from_env(2)
+        start_methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if "fork" in start_methods else "spawn")
+        self.workers = (os.cpu_count() or 1) if workers is None else int(workers)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1 for a pooled backend, got {self.workers}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if task_timeout is None:
-            task_timeout = async_timeout_from_env(None)
         if window is None:
             window = 2 * self.workers
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self._scheduler = AsyncScheduler(
+            self._spawn,
             workers=self.workers,
             window=window,
             max_retries=max_retries,
             retry_base_delay=retry_base_delay,
-            retry_max_delay=retry_max_delay,
             task_timeout=task_timeout,
             steal_after=steal_after,
-            endpoints=endpoints,
-            authkey=authkey,
-            connect_timeout=connect_timeout,
         )
+
+    def _spawn(self, slot: int) -> WorkerTransport:
+        """The worker for ``slot``: a local child process, or a connection to the slot's agent."""
+        if self._addresses is None:
+            return LocalProcessTransport(self._ctx)
+        host, port = self._addresses[slot]
+        return TcpTransport(host, port, self._authkey, self._connect_timeout)
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -417,72 +340,8 @@ class AsyncBackend(ExecutorBackend):
         return self._scheduler.start(fn, items).results()
 
 
-def _serial_factory(workers: Optional[int] = None) -> SerialBackend:
-    if workers is not None and int(workers) > 1:
-        raise ValueError(
-            f"the serial backend runs in-process; workers={workers} conflicts "
-            "(use the async backend for parallelism)"
-        )
-    return SerialBackend()
-
-
-#: Backend registry for CLI flags and configuration strings.
-BACKENDS: Dict[str, Callable[..., ExecutorBackend]] = {
-    "serial": _serial_factory,
-    "async": AsyncBackend,
-}
-
-
-def make_backend(name: str, workers: Optional[int] = None) -> ExecutorBackend:
-    """Build a backend by registry name (``serial`` or ``async``)."""
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}; known: {sorted(BACKENDS)}") from None
-    return factory(workers=workers)
-
-
-# -- the shared default pool -----------------------------------------------------------
-
-
-class _SharedBackend(AsyncBackend):
-    """A :func:`shared_backend` pool: local workers even when ``REPRO_ASYNC_ENDPOINT`` is set."""
-
-    _endpoint_from_env = False
-
-
-_SHARED_BACKENDS: Dict[int, AsyncBackend] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def shared_backend(workers: Optional[int] = None) -> AsyncBackend:
-    """The shared local :class:`AsyncBackend` for the given worker count.
-
-    Backends are cached per worker count for the life of the process, so
-    every figure call asking for the same parallelism reuses one pool.
-    ``workers=None`` means ``os.cpu_count()``.  The pool always runs
-    local worker processes; remote agents are opt-in through an explicit
-    ``AsyncBackend(endpoint=...)``.  Shared backends must not be closed
-    by individual callers — :func:`close_shared_backends` tears them
-    down (and interpreter exit reaps their daemon workers); a closed
-    shared backend restarts lazily if used again.
-    """
-    key = _positive_workers(workers)
-    with _SHARED_LOCK:
-        backend = _SHARED_BACKENDS.get(key)
-        if backend is None:
-            backend = _SharedBackend(workers=key)
-            _SHARED_BACKENDS[key] = backend
-        return backend
-
-
-def close_shared_backends() -> None:
-    """Close and forget every shared backend (they restart lazily on reuse)."""
-    with _SHARED_LOCK:
-        backends = list(_SHARED_BACKENDS.values())
-        _SHARED_BACKENDS.clear()
-    for backend in backends:
-        backend.close()
+_POOLS: Dict[Tuple[Optional[int], Optional[str]], AsyncBackend] = {}
+_POOLS_LOCK = threading.Lock()
 
 
 def resolve_backend(
@@ -494,20 +353,33 @@ def resolve_backend(
     Exactly one of the two may be given.  An explicit ``backend`` is
     returned as-is.  Otherwise ``workers`` selects a backend: ``0`` or
     ``1`` mean :class:`SerialBackend` (the historical serial semantics;
-    ``REPRO_WORKERS=0`` lands here), and ``None`` or ``N > 1`` mean the
-    :func:`shared_backend` local pool for that worker count.
+    ``REPRO_WORKERS=0`` lands here), and ``N > 1`` a local
+    :class:`AsyncBackend` with ``N`` workers.  ``None`` means the
+    remote :class:`AsyncBackend` over ``REPRO_ASYNC_ENDPOINT``'s agents
+    when that variable is set, and ``os.cpu_count()`` otherwise.
+
+    Pools are cached per ``(workers, endpoint)`` for the life of the
+    process, so every figure call asking for the same pool reuses it
+    (the same worker PIDs serve every call).  Callers must not close a
+    cached pool; interpreter exit reaps its daemon workers, and a closed
+    pool restarts lazily if used again.
     """
     if backend is not None:
         if workers is not None:
             raise ValueError("pass either workers= or backend=, not both")
         return backend
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = int(workers)
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers <= 1:
-        # Matches the historical semantics: one worker (or a one-core
-        # machine) runs serially in-process, with no pool at all.
-        return SerialBackend()
-    return shared_backend(workers)
+    endpoint = _remote_endpoint_from_env() if workers is None else None
+    if endpoint is None:
+        workers = (os.cpu_count() or 1) if workers is None else int(workers)
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        if workers <= 1:
+            # Matches the historical semantics: one worker (or a one-core
+            # machine) runs serially in-process, with no pool at all.
+            return SerialBackend()
+    key = (workers, endpoint)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        if pool is None:
+            pool = _POOLS[key] = AsyncBackend(endpoint, workers)
+        return pool

@@ -24,8 +24,9 @@ bit-identical to a serial run:
   :class:`~repro.experiments.backends.ExecutorBackend`: ``workers=0``
   or ``1`` select the in-process
   :class:`~repro.experiments.backends.SerialBackend` (no pool);
-  ``workers=N`` (default ``os.cpu_count()``) selects the **shared,
-  persistent** local :class:`~repro.experiments.backends.AsyncBackend`
+  ``workers=N`` (default ``os.cpu_count()``, or the
+  ``REPRO_ASYNC_ENDPOINT`` agents when that is set) selects the
+  **cached, persistent** :class:`~repro.experiments.backends.AsyncBackend`
   for that worker count, so consecutive figure calls reuse one pool;
   and ``backend=`` accepts any backend instance (a private pool, or one
   over remote TCP worker agents) outright.  Several figures' grids go
@@ -187,7 +188,9 @@ def run_grids(
     per figure.  ``workers``/``backend`` pick the executor through
     :func:`~repro.experiments.backends.resolve_backend` (pass at most
     one): ``0`` or ``1`` run serially in-process and accept any
-    callable, ``N`` (default ``os.cpu_count()``) the shared local pool.
+    callable, ``N`` the cached local pool, and unset the
+    ``REPRO_ASYNC_ENDPOINT`` agents when that is set, else a local pool
+    of ``os.cpu_count()`` workers.
     Instead of draining the pool once per grid (which left workers idle
     at every figure boundary), all grids' ``spec × seed`` tasks are
     interleaved round-robin across the grids and submitted as a single

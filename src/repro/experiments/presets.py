@@ -167,8 +167,9 @@ def run_paper(
     count, or an explicit seed list; ``backend``/``workers`` select the
     executor exactly as in
     :func:`~repro.experiments.parallel.run_grids` (pass at most
-    one — the default is the shared persistent
-    :class:`~repro.experiments.backends.AsyncBackend` pool).
+    one — the default is the cached
+    :class:`~repro.experiments.backends.AsyncBackend` pool, over the
+    ``REPRO_ASYNC_ENDPOINT`` agents when that is set).
     ``overrides`` maps figure names to extra keyword arguments, applied
     on top of the smoke shrinkage when ``seeds="smoke"``.
 

@@ -135,23 +135,18 @@ def authkey_from_env() -> bytes:
 # -- endpoint parsing ---------------------------------------------------------------------
 
 
-def _parse_hostport(text: str, endpoint: str) -> Tuple[str, int]:
+def _parse_hostport(text: str, where: str = "", min_port: int = 1) -> Tuple[str, int]:
+    """``host:port`` → ``(host, port)``; :class:`ValueError` naming ``text`` and ``where``."""
     host, sep, port_text = text.rpartition(":")
     if not sep or not host:
-        raise ValueError(
-            f"address {text!r} in endpoint {endpoint!r} is not of the form host:port"
-        )
+        raise ValueError(f"address {text!r}{where} is not of the form host:port")
     host = host.strip("[]")  # tolerate bracketed IPv6 literals
     try:
         port = int(port_text)
     except ValueError:
-        raise ValueError(
-            f"address {text!r} in endpoint {endpoint!r} has a non-numeric port {port_text!r}"
-        ) from None
-    if not 1 <= port <= 65535:
-        raise ValueError(
-            f"address {text!r} in endpoint {endpoint!r} has port {port} outside 1-65535"
-        )
+        raise ValueError(f"address {text!r}{where} has a non-numeric port {port_text!r}") from None
+    if not min_port <= port <= 65535:
+        raise ValueError(f"address {text!r}{where} has port {port} outside {min_port}-65535")
     return host, port
 
 
@@ -189,7 +184,7 @@ def parse_endpoint(endpoint: str) -> List[Tuple[str, int]]:
             )
         if not part:
             raise ValueError(f"endpoint {endpoint!r} contains an empty address")
-        addresses.append(_parse_hostport(part, endpoint))
+        addresses.append(_parse_hostport(part, f" in endpoint {endpoint!r}"))
     return addresses
 
 
@@ -542,10 +537,14 @@ class WorkerAgent:
         # inherited lock; spawn starts from a clean interpreter.
         self._ctx = multiprocessing.get_context("spawn")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(8)
-        self._listener.settimeout(_SERVE_TICK)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(8)
+            self._listener.settimeout(_SERVE_TICK)
+        except OSError:
+            self._listener.close()
+            raise
         self.host = self._listener.getsockname()[0]
         self.port = int(self._listener.getsockname()[1])
         self._stop = threading.Event()
@@ -702,15 +701,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="address to listen on (port 0 picks an ephemeral port, printed at startup)",
     )
     args = parser.parse_args(None if argv is None else list(argv))
-    host, sep, port_text = args.listen.rpartition(":")
-    if not sep or not host:
-        parser.error(f"--listen expects HOST:PORT, got {args.listen!r}")
     try:
-        port = int(port_text)
-    except ValueError:
-        parser.error(f"--listen port must be an integer, got {port_text!r}")
-    try:
-        agent = WorkerAgent(host.strip("[]"), port)
+        agent = WorkerAgent(*_parse_hostport(args.listen, " for --listen", min_port=0))
     except ValueError as exc:
         parser.error(str(exc))
     print(

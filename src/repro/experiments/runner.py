@@ -68,9 +68,10 @@ def replicate(
     ``workers`` selects the executor as in
     :func:`~repro.experiments.parallel.run_grids`: ``1`` (the default)
     or ``0`` run serially in this process and accept any callable;
-    ``workers=N`` uses the shared persistent pool for that count and
-    ``workers=None`` one worker per CPU core (``os.cpu_count()``; a
-    one-core machine executes serially), both of which need a picklable
+    ``workers=N`` uses the cached local pool for that count and
+    ``workers=None`` the ``REPRO_ASYNC_ENDPOINT`` agents when that is
+    set, else one worker per CPU core (``os.cpu_count()``; a one-core
+    machine executes serially), all of which need a picklable
     builder such as :class:`~repro.experiments.parallel.ScenarioSpec`.
     The return type never depends on the worker count.
     """

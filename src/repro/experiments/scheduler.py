@@ -3,10 +3,10 @@
 This module is the scheduler half of the async backend: a pool of
 persistent workers driven by a single dispatch thread that shards a
 batch of tasks across them.  Workers are
-:class:`~repro.experiments.remote.WorkerTransport` instances — local
-child processes (one duplex pipe each) by default, or connections to
-remote TCP worker agents when the backend was built with
-``endpoint="tcp://host:port,..."`` — and the scheduling policy below is
+:class:`~repro.experiments.remote.WorkerTransport` instances made by the
+``spawn(slot)`` factory the backend hands in — local child processes or
+connections to remote TCP worker agents; which one is the backend's
+decision, not this module's.  The scheduling policy below is
 transport-agnostic: the same dispatch loop drives both, which is what
 lets one fault-injection suite act as the contract for every transport.
 The backend-facing contract (ordered ``map``/``imap`` delivery, lazy
@@ -29,7 +29,7 @@ this module owns the scheduling policy:
 * **Retry with capped exponential backoff.**  A task attempt ends in
   success, a worker-side exception, a dead worker (crash / SIGKILL /
   lost connection), or a per-task timeout.  Failed attempts are
-  retried up to ``max_retries`` times, waiting ``min(retry_max_delay,
+  retried up to ``max_retries`` times, waiting ``min(2 s,
   retry_base_delay * 2**(attempt-1))`` between attempts; dead workers
   are respawned — a fresh local process, or a fresh connection to the
   same remote agent, paced by the same backoff.  A task that exhausts
@@ -52,7 +52,6 @@ count, timing, or how many attempts a cell needed.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import pickle
 import queue
 import threading
@@ -69,11 +68,10 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
-from repro.experiments.remote import LocalProcessTransport, TcpTransport, WorkerTransport
+from repro.experiments.remote import WorkerTransport
 
 __all__ = ["AsyncCellError", "AsyncScheduler", "CellFailure"]
 
@@ -82,6 +80,9 @@ __all__ = ["AsyncCellError", "AsyncScheduler", "CellFailure"]
 #: consumer or a due retry is noticed promptly, large enough that an
 #: idle scheduler costs nothing measurable.
 _TICK_SECONDS = 0.05
+
+#: Cap on the exponential retry backoff, in seconds.
+_RETRY_MAX_DELAY = 2.0
 
 #: How much of a failing item's repr() survives into error messages.
 _ITEM_REPR_LIMIT = 200
@@ -156,12 +157,9 @@ class AsyncScheduler:
     """Dispatch batches over persistent worker processes (see module docs).
 
     One scheduler serves many sequential batches; workers are spawned
-    lazily on the first batch and reused until :meth:`close`.  With
-    ``endpoints=None`` every worker slot is a local child process
-    (:class:`~repro.experiments.remote.LocalProcessTransport`);
-    otherwise slots are :class:`~repro.experiments.remote.TcpTransport`
-    connections assigned round-robin over the ``(host, port)`` list,
-    each authenticated with ``authkey``.
+    lazily on the first batch, one ``spawn(slot)`` call per slot
+    ``0..workers-1``, and reused until :meth:`close`.  A dead worker is
+    replaced through its own :meth:`~repro.experiments.remote.WorkerTransport.respawn`.
     Batches are serialised by an internal lock — the backend's
     ordered-delivery contract has no use for interleaved batches.
     ``stats`` accumulates scheduling events (``retries``, ``steals``,
@@ -174,27 +172,19 @@ class AsyncScheduler:
 
     def __init__(
         self,
+        spawn: Callable[[int], WorkerTransport],
         workers: int,
         window: int,
         max_retries: int,
         retry_base_delay: float,
-        retry_max_delay: float,
         task_timeout: Optional[float],
         steal_after: float,
-        endpoints: Optional[Sequence[Tuple[str, int]]] = None,
-        authkey: bytes = b"",
-        connect_timeout: float = 5.0,
     ) -> None:
+        self._spawn = spawn
         self.workers = int(workers)
-        self.endpoints: Optional[Tuple[Tuple[str, int], ...]] = (
-            None if endpoints is None else tuple((str(h), int(p)) for h, p in endpoints)
-        )
-        self.authkey = authkey
-        self.connect_timeout = float(connect_timeout)
         self.window = max(int(window), self.workers)
         self.max_retries = int(max_retries)
         self.retry_base_delay = float(retry_base_delay)
-        self.retry_max_delay = float(retry_max_delay)
         self.task_timeout = None if task_timeout is None else float(task_timeout)
         self.steal_after = float(steal_after)
         self.stats: Dict[str, int] = {
@@ -204,8 +194,6 @@ class AsyncScheduler:
             "timeouts": 0,
             "failures": 0,
         }
-        start_methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context("fork" if "fork" in start_methods else "spawn")
         self._workers: List[WorkerTransport] = []
         self._lifecycle_lock = threading.Lock()
         self._call_lock = threading.Lock()
@@ -232,16 +220,10 @@ class AsyncScheduler:
         for worker in workers:
             worker.terminate()
 
-    def _spawn_worker(self, slot: int) -> WorkerTransport:
-        if self.endpoints:
-            host, port = self.endpoints[slot % len(self.endpoints)]
-            return TcpTransport(host, port, self.authkey, self.connect_timeout)
-        return LocalProcessTransport(self._ctx)
-
     def _ensure_started(self) -> None:
         with self._lifecycle_lock:
             while len(self._workers) < self.workers:
-                self._workers.append(self._spawn_worker(len(self._workers)))
+                self._workers.append(self._spawn(len(self._workers)))
 
     # -- batch entry point ------------------------------------------------------------
 
@@ -320,7 +302,7 @@ class AsyncScheduler:
                 self.stats["failures"] += 1
             else:
                 delay = min(
-                    self.retry_max_delay,
+                    _RETRY_MAX_DELAY,
                     self.retry_base_delay * (2 ** (attempts[index] - 1)),
                 )
                 heapq.heappush(retry_heap, (time.monotonic() + delay, index))

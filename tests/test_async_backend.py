@@ -570,3 +570,29 @@ class TestTransportObjects:
         replacement = transport.respawn()
         assert (replacement.host, replacement.port) == ("127.0.0.1", 1)
         assert replacement.is_alive()
+
+
+class TestAgentListen:
+    def test_out_of_range_listen_port_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            remote.main(["--listen", "127.0.0.1:70000"])
+        assert excinfo.value.code == 2
+
+    def test_failed_bind_closes_the_listener(self):
+        import gc
+        import warnings
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                try:
+                    WorkerAgent("127.0.0.1", port)
+                except OSError:
+                    pass
+                else:
+                    raise AssertionError("binding a taken port must raise OSError")
+                gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -1,4 +1,4 @@
-"""Executor backends: lifecycle, pool reuse, env plumbing, bit-identity."""
+"""Executor backends: lifecycle, pool reuse, the resolve_backend registry, bit-identity."""
 
 import os
 import pickle
@@ -16,14 +16,7 @@ from repro.experiments.backends import (
     AsyncCellError,
     ExecutorBackend,
     SerialBackend,
-    async_endpoint_from_env,
-    async_retries_from_env,
-    async_timeout_from_env,
-    async_workers_from_env,
-    close_shared_backends,
-    make_backend,
     resolve_backend,
-    shared_backend,
     workers_from_env,
 )
 from repro.experiments.parallel import ScenarioSpec, run_grids
@@ -161,12 +154,12 @@ class TestProcessBackendLifecycle:
         backend.close()
 
     def test_atexit_cleanup_lets_the_interpreter_exit(self):
-        # A child interpreter that uses a shared pool but never closes it
+        # A child interpreter that uses a cached pool but never closes it
         # must still exit promptly: its workers are daemon processes.
         code = (
-            "from repro.experiments.backends import shared_backend\n"
+            "from repro.experiments.backends import resolve_backend\n"
             "from tests.test_backends import _square\n"
-            "backend = shared_backend(2)\n"
+            "backend = resolve_backend(workers=2)\n"
             "assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]\n"
             "assert backend.is_running\n"
         )
@@ -310,63 +303,56 @@ class TestResolveBackend:
         with pytest.raises(ValueError):
             resolve_backend(workers=2, backend=SerialBackend())
 
-    def test_default_is_the_shared_pool(self):
+    def test_default_is_the_shared_pool(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ASYNC_ENDPOINT", raising=False)
         if (os.cpu_count() or 1) > 1:
-            assert resolve_backend() is shared_backend(None)
+            assert resolve_backend() is resolve_backend(workers=os.cpu_count())
         else:
             # One-core machines keep the historical serial execution.
             assert isinstance(resolve_backend(), SerialBackend)
 
-    def test_shared_backend_is_cached_per_worker_count(self):
-        a = shared_backend(2)
-        b = shared_backend(2)
-        c = shared_backend(3)
-        assert a is b
-        assert a is not c
-        assert resolve_backend(workers=2) is a
-        assert isinstance(a, AsyncBackend)
-        assert a.workers == 2
+    def test_same_worker_count_is_the_same_pool(self):
+        pool = resolve_backend(workers=2)
+        assert resolve_backend(workers=2) is pool
+        assert resolve_backend(workers=3) is not pool
+        assert isinstance(pool, AsyncBackend)
+        assert pool.workers == 2
+        assert pool.endpoint is None
+
+    def test_unset_workers_with_an_endpoint_is_the_remote_pool(self, monkeypatch):
+        endpoint = "tcp://127.0.0.1:9,127.0.0.1:10,127.0.0.1:11"
+        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", endpoint)
+        backend = resolve_backend()
+        assert isinstance(backend, AsyncBackend)
+        assert backend.endpoint == endpoint
+        assert backend.workers == 3
+        assert not backend.is_running  # built, never connected
+        assert resolve_backend() is backend
+        # An explicit worker count and a bare AsyncBackend stay local.
+        assert resolve_backend(workers=2).endpoint is None
+        with AsyncBackend() as bare:
+            assert bare.endpoint is None
+        # A malformed endpoint fails when the pool is resolved, not on first use.
+        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "not-an-endpoint")
+        with pytest.raises(ValueError):
+            resolve_backend()
+
+    def test_remote_pool_needs_the_key(self, monkeypatch):
+        # A fresh address: a pool cached by another test must not mask the check.
+        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "tcp://127.0.0.1:12")
+        monkeypatch.delenv("REPRO_ASYNC_AUTHKEY")
+        with pytest.raises(ValueError, match="REPRO_ASYNC_AUTHKEY"):
+            resolve_backend()
 
     def test_workers_n_stays_local_when_an_endpoint_is_set(self, monkeypatch):
-        # REPRO_ASYNC_ENDPOINT configures explicit AsyncBackend() builds
-        # only; the default pool behind workers=N always runs locally.
+        # REPRO_ASYNC_ENDPOINT only fills in for an unset worker count;
+        # the pool behind workers=N always runs locally.
         monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "tcp://127.0.0.1:9,127.0.0.1:10,127.0.0.1:11")
-        close_shared_backends()
-        try:
-            backend = resolve_backend(workers=2)
-            assert backend is shared_backend(2)
-            assert backend.endpoint is None
-            assert backend.workers == 2
-            assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-            assert os.getpid() not in backend.worker_pids()
-        finally:
-            close_shared_backends()
-
-    def test_close_shared_backends_forgets_the_cache(self):
-        before = shared_backend(2)
-        close_shared_backends()
-        assert not before.is_running
-        assert shared_backend(2) is not before
-        close_shared_backends()
-
-
-class TestMakeBackend:
-    def test_registry_names(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("async", workers=2), AsyncBackend)
-        for removed in ("process", "thread"):
-            with pytest.raises(ValueError):
-                make_backend(removed, workers=2)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend("distributed")
-
-    def test_serial_with_parallel_workers_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend("serial", workers=8)
-        assert isinstance(make_backend("serial", workers=1), SerialBackend)
-        assert isinstance(make_backend("serial", workers=0), SerialBackend)
+        backend = resolve_backend(workers=2)
+        assert backend.endpoint is None
+        assert backend.workers == 2
+        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert os.getpid() not in backend.worker_pids()
 
 
 class TestWorkersFromEnv:
@@ -388,52 +374,6 @@ class TestWorkersFromEnv:
         monkeypatch.setenv("REPRO_WORKERS", "-1")
         with pytest.raises(ValueError):
             workers_from_env()
-
-
-class TestAsyncEnvSeams:
-    def test_async_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_WORKERS", raising=False)
-        assert async_workers_from_env() is None
-        assert async_workers_from_env(default=3) == 3
-        monkeypatch.setenv("REPRO_ASYNC_WORKERS", "4")
-        assert async_workers_from_env() == 4
-        assert AsyncBackend().workers == 4
-        monkeypatch.setenv("REPRO_ASYNC_WORKERS", "0")
-        with pytest.raises(ValueError):
-            async_workers_from_env()
-
-    def test_async_retries(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_RETRIES", raising=False)
-        assert async_retries_from_env() == 2
-        monkeypatch.setenv("REPRO_ASYNC_RETRIES", "0")
-        assert async_retries_from_env() == 0
-        monkeypatch.setenv("REPRO_ASYNC_RETRIES", "-1")
-        with pytest.raises(ValueError):
-            async_retries_from_env()
-
-    def test_async_timeout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_TIMEOUT", raising=False)
-        assert async_timeout_from_env() is None
-        monkeypatch.setenv("REPRO_ASYNC_TIMEOUT", "2.5")
-        assert async_timeout_from_env() == 2.5
-        # Zero or negative disables the per-cell timeout entirely.
-        monkeypatch.setenv("REPRO_ASYNC_TIMEOUT", "0")
-        assert async_timeout_from_env() is None
-
-    def test_async_endpoint(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ASYNC_ENDPOINT", raising=False)
-        assert async_endpoint_from_env() is None
-        assert async_endpoint_from_env(default="tcp://x:1") == "tcp://x:1"
-        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "tcp://127.0.0.1:9")
-        assert async_endpoint_from_env() == "tcp://127.0.0.1:9"
-        backend = AsyncBackend()
-        assert backend.endpoint == "tcp://127.0.0.1:9"
-        assert backend.workers == 1
-        backend.close()
-        # A malformed env endpoint fails at construction, not first use.
-        monkeypatch.setenv("REPRO_ASYNC_ENDPOINT", "not-an-endpoint")
-        with pytest.raises(ValueError):
-            AsyncBackend()
 
 
 class TestAsyncEndpointValidation:

@@ -12,11 +12,12 @@ fixture-per-behaviour treatment as the per-file rules in
 ``test_checks.py``.
 """
 
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
 
-from repro.checks import ModuleSource, get_rule, run_rules
+from repro.checks import ModuleSource, get_rule, load_sources, run_rules
 from repro.checks.layers import LAYERS, layer_allows, layer_of
 from repro.checks.project import MODULE_CALLER, Project
 
@@ -274,10 +275,11 @@ class TestLayers:
 
 
 # ---------------------------------------------------------------------------
-# ASY001 — blocking calls reachable from async code
+# ASY001 — blocking calls reachable from the dispatch thread
 # ---------------------------------------------------------------------------
 
 _SCHED = "src/repro/experiments/scheduler.py"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestASY001:
@@ -285,24 +287,25 @@ class TestASY001:
         found = project_findings("ASY001", {
             _SCHED: """\
                 import time
-
-                async def dispatch():
-                    _pause()
+                class AsyncScheduler:
+                    def _dispatch(self):
+                        _pause()
 
                 def _pause():
                     time.sleep(0.1)
                 """,
         })
         assert len(found) == 1
-        assert "time.sleep blocks the event loop" in found[0].message
+        assert "time.sleep blocks the dispatch thread" in found[0].message
         assert "via repro.experiments.scheduler._pause" in found[0].message
         assert found[0].line == 7
 
     def test_unguarded_recv_fires(self):
         found = project_findings("ASY001", {
             _SCHED: """\
-                async def pump(conn):
-                    return conn.recv()
+                class AsyncScheduler:
+                    def _dispatch(self, conn):
+                        return conn.recv()
                 """,
         })
         assert len(found) == 1
@@ -311,10 +314,11 @@ class TestASY001:
     def test_poll_guarded_recv_is_clean(self):
         found = project_findings("ASY001", {
             _SCHED: """\
-                async def pump(conn):
-                    if conn.poll(0.05):
-                        return conn.recv()
-                    return None
+                class AsyncScheduler:
+                    def _dispatch(self, conn):
+                        if conn.poll(0.05):
+                            return conn.recv()
+                        return None
                 """,
         })
         assert found == []
@@ -322,10 +326,11 @@ class TestASY001:
     def test_a_different_receivers_poll_does_not_guard(self):
         found = project_findings("ASY001", {
             _SCHED: """\
-                async def pump(first, second):
-                    if first.poll(0.05):
-                        return second.recv()
-                    return None
+                class AsyncScheduler:
+                    def _dispatch(self, first, second):
+                        if first.poll(0.05):
+                            return second.recv()
+                        return None
                 """,
         })
         assert len(found) == 1
@@ -333,29 +338,63 @@ class TestASY001:
     def test_unbounded_process_join_fires_and_timeout_is_clean(self):
         dirty = project_findings("ASY001", {
             _SCHED: """\
-                async def reap(worker):
-                    worker.process.join()
+                class AsyncScheduler:
+                    def _dispatch(self, worker):
+                        worker.process.join()
                 """,
         })
         assert len(dirty) == 1
         assert "unbounded .join()" in dirty[0].message
         clean = project_findings("ASY001", {
             _SCHED: """\
-                async def reap(worker):
-                    worker.process.join(timeout=2.0)
+                class AsyncScheduler:
+                    def _dispatch(self, worker):
+                        worker.process.join(timeout=2.0)
+                """,
+        })
+        assert clean == []
+
+    def test_wait_without_a_timeout_fires_and_a_bounded_tick_is_clean(self):
+        dirty = project_findings("ASY001", {
+            _SCHED: """\
+                from multiprocessing.connection import wait as connection_wait
+                class AsyncScheduler:
+                    def _dispatch(self, handles):
+                        connection_wait(handles)
+                        connection_wait(handles, None)
+                """,
+        })
+        assert len(dirty) == 2
+        assert all("without a timeout" in finding.message for finding in dirty)
+        clean = project_findings("ASY001", {
+            _SCHED: """\
+                import select
+                from multiprocessing.connection import wait as connection_wait
+                _TICK_SECONDS = 0.05
+                class AsyncScheduler:
+                    def _dispatch(self, handles):
+                        connection_wait(handles, _TICK_SECONDS)
+                        connection_wait(handles, timeout=0.5)
+                        select.select(handles, [], [], _TICK_SECONDS)
                 """,
         })
         assert clean == []
 
     def test_blocking_call_not_reachable_from_async_is_clean(self):
+        # Neither a helper the loop never calls nor a function outside
+        # the dispatch thread (async or not) is part of the contract.
         found = project_findings("ASY001", {
             _SCHED: """\
                 import time
 
-                async def dispatch():
-                    pass
+                class AsyncScheduler:
+                    def _dispatch(self):
+                        pass
 
                 def teardown_helper():
+                    time.sleep(0.5)
+
+                async def unrelated():
                     time.sleep(0.5)
                 """,
         })
@@ -366,11 +405,22 @@ class TestASY001:
             "src/repro/experiments/figures.py": """\
                 import time
 
-                async def render():
-                    time.sleep(1.0)
+                class AsyncScheduler:
+                    def _dispatch(self):
+                        time.sleep(1.0)
                 """,
         })
         assert found == []
+
+    def test_the_real_dispatch_loop_is_covered_and_clean(self):
+        sources, errors = load_sources([REPO_ROOT / "src"])
+        assert errors == []
+        rule = get_rule("ASY001")
+        reachable = rule.reachable(Project(sources))
+        dispatch = "repro.experiments.scheduler.AsyncScheduler._dispatch"
+        assert dispatch in reachable
+        assert f"{dispatch}.<locals>.drain" in reachable
+        assert run_rules(sources, [rule]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,6 @@ class TestReadmeIndexes:
             "REPRO_PLOTS_BACKEND",
             "REPRO_BENCH_NO_ASSERT",
             "REPRO_PROFILE",
-            "REPRO_ASYNC_WORKERS",
-            "REPRO_ASYNC_RETRIES",
-            "REPRO_ASYNC_TIMEOUT",
             "REPRO_ASYNC_ENDPOINT",
             "REPRO_ASYNC_AUTHKEY",
         }
