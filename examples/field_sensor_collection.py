@@ -35,7 +35,6 @@ def run_protocol(name: str, seed: int = 11):
         rng=network.streams.stream("mobility"),
         speed=SPEED_MPS,
         field_size=getattr(network, "field_size", 200.0),
-        on_topology_change=network.routing.on_topology_change,
     )
     network.attach_mobility(mobility)
 

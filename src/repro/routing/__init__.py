@@ -11,21 +11,18 @@ topology".  JTP relies on routing for exactly two things:
   explicitly designed to tolerate.
 
 This package provides a Dijkstra shortest-path core
-(:mod:`repro.routing.dijkstra`), periodic neighbour discovery
-(:mod:`repro.routing.neighbor`) and a link-state protocol with
-per-node, possibly stale topology views
-(:mod:`repro.routing.link_state`).
+(:mod:`repro.routing.dijkstra`) and a link-state protocol
+(:mod:`repro.routing.link_state`) that snapshots the channel's
+connectivity once per ``update_period`` and answers both questions from
+one shortest-path tree per node and snapshot generation.
 """
 
-from repro.routing.dijkstra import shortest_path, shortest_path_tree, next_hop_table, path_length
-from repro.routing.neighbor import NeighborTable
+from repro.routing.dijkstra import shortest_path, shortest_path_tree, next_hop_table
 from repro.routing.link_state import LinkStateRouting
 
 __all__ = [
     "shortest_path",
     "shortest_path_tree",
     "next_hop_table",
-    "path_length",
-    "NeighborTable",
     "LinkStateRouting",
 ]

@@ -1,10 +1,10 @@
 """Shortest-path computation on connectivity graphs.
 
 The graphs handled here are adjacency mappings ``{node: set(neighbors)}``
-as produced by :func:`repro.sim.topology.connectivity_graph` or by the
-link-state protocol's per-node views.  All links have unit cost (hop
-count), matching the paper's use of hop counts for the remaining-path
-length in the loss-tolerance computation.
+as produced by :func:`repro.sim.topology.connectivity_graph` or by
+:meth:`repro.sim.channel.Channel.connectivity`.  All links have unit
+cost (hop count), matching the paper's use of hop counts for the
+remaining-path length in the loss-tolerance computation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def shortest_path_tree(graph: Graph, source: int) -> Tuple[Dict[int, float], Dic
         if node in visited:
             continue
         visited.add(node)
-        # repro: allow[DET002] dist is order-independent (unit costs); prev ties pin to the ascending insertion order connectivity_graph guarantees
+        # repro: allow[DET002] dist is order-independent (unit costs); prev ties are pinned by the heap's (dist, node) pop order, so the lowest-id parent on the previous level wins
         for neighbor in graph.get(node, ()):  # tolerate dangling edges
             candidate = d + 1.0
             if candidate < dist.get(neighbor, float("inf")):
@@ -59,19 +59,14 @@ def shortest_path(graph: Graph, source: int, destination: int) -> Optional[List[
     return path
 
 
-def path_length(graph: Graph, source: int, destination: int) -> Optional[int]:
-    """Number of links on the shortest path, or None if unreachable."""
-    path = shortest_path(graph, source, destination)
-    if path is None:
-        return None
-    return len(path) - 1
+def next_hop_table(prev: Mapping[int, Optional[int]], source: int) -> Dict[int, int]:
+    """For every destination in the tree ``prev`` rooted at ``source``, its first hop.
 
-
-def next_hop_table(graph: Graph, source: int) -> Dict[int, int]:
-    """For every reachable destination, the first hop on the shortest path."""
-    dist, prev = shortest_path_tree(graph, source)
+    ``prev`` is the predecessor map :func:`shortest_path_tree` returned
+    for ``source``; no graph traversal happens here.
+    """
     table: Dict[int, int] = {}
-    for destination in dist:
+    for destination in prev:
         if destination == source:
             continue
         node = destination

@@ -1,131 +1,95 @@
-"""Link-state routing with per-node, possibly stale views.
+"""Link-state routing with a shared, possibly stale topology view.
 
-Every node maintains its own copy of the topology, refreshed from the
-neighbour-discovery layer on a fixed period (plus on demand when the
-mobility model reports a position change, if the scenario wires that
-callback).  Between refreshes a node routes — and estimates remaining
-hop counts — using its stale view, which is how the paper's
-"topological views at different nodes are inconsistent" situation
-arises.  JTP's per-hop loss-tolerance update (Eq. 3) is specifically
-designed to keep the end-to-end reliability target even then.
+The view is the channel's connectivity snapshot as of the last periodic
+refresh (every ``update_period`` seconds).  Between refreshes every node
+routes — and estimates remaining hop counts — using that stale view,
+which is how the paper's "topological views at different nodes are
+inconsistent" situation arises: the ground truth moves on while routing
+still answers from the old graph.  JTP's per-hop loss-tolerance update
+(Eq. 3) is specifically designed to keep the end-to-end reliability
+target even then.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.routing.dijkstra import next_hop_table, path_length, shortest_path, shortest_path_tree
-from repro.routing.neighbor import NeighborTable
+from repro.routing.dijkstra import next_hop_table, shortest_path, shortest_path_tree
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.util.validation import require_positive
 
 
 class LinkStateRouting:
-    """Network-wide routing service with per-node topology views."""
+    """Network-wide routing service over one shared topology view."""
 
-    def __init__(
-        self,
-        channel: Channel,
-        sim: Simulator,
-        update_period: float = 10.0,
-        neighbor_refresh_period: float = 5.0,
-    ):
+    def __init__(self, channel: Channel, sim: Simulator, update_period: float = 10.0):
         self.channel = channel
         self.sim = sim
         self.update_period = require_positive(update_period, "update_period")
-        self.neighbor_table = NeighborTable(channel, sim, refresh_period=neighbor_refresh_period)
-        self._views: Dict[int, Dict[int, Set[int]]] = {}
-        self._next_hop_tables: Dict[int, Dict[int, int]] = {}
-        self._last_snapshot: Optional[Dict[int, Set[int]]] = None
-        #: node -> Dijkstra distance map over that node's current view;
-        #: filled lazily by :meth:`hops_to`, dropped when views change.
-        self._hops_cache: Dict[int, Dict[int, float]] = {}
+        self._view: Optional[Dict[int, Set[int]]] = None
+        #: node -> (hop counts, first hops) over the current view; filled
+        #: lazily by one shortest-path tree per node, cleared when the view changes.
+        self._trees: Dict[int, Tuple[Dict[int, float], Dict[int, int]]] = {}
         self.view_updates = 0
-        self._started = False
 
     # -- lifecycle ---------------------------------------------------------------------
 
     def start(self) -> None:
-        """Take initial snapshots and schedule periodic view refreshes."""
-        self.neighbor_table.start()
+        """Take the initial view and schedule periodic view refreshes."""
         self.refresh_all_views()
         self.sim.schedule(self.update_period, self._periodic_update)
-        self._started = True
 
     def _periodic_update(self) -> None:
         self.refresh_all_views()
         self.sim.schedule(self.update_period, self._periodic_update)
 
     def refresh_all_views(self) -> None:
-        """Give every node a copy of the currently-known topology.
+        """Adopt the channel's current connectivity as every node's view.
 
-        The known topology is the neighbour table's snapshot, which may
-        itself lag the ground truth; two layers of staleness compound
-        under mobility, just as in a real link-state deployment.
-
-        When the snapshot is unchanged since the previous refresh — the
-        steady state of every static topology — the per-node view
-        copies and shortest-path recomputations are skipped entirely:
-        the views a node would receive are equal to the ones it already
-        holds.  This is the single biggest saving on the paper's linear
-        scenarios, where periodic refreshes used to re-run Dijkstra for
-        every node every ``update_period`` against an immutable graph.
-        Views are handed out as shared snapshots; treat them as
-        immutable.
+        The view is the channel's cached snapshot itself, held by
+        reference: the channel never mutates a snapshot it has handed
+        out (a position or fault change builds new sets), so the view
+        stays frozen at refresh time while the ground truth moves on.
+        When the snapshot equals the held view — the steady state of
+        every static topology — the per-node shortest-path trees are
+        kept; otherwise they are dropped and rebuilt lazily, once per
+        node that routes in this generation.
         """
-        self.neighbor_table.refresh()
-        snapshot = self.neighbor_table.snapshot()
-        if snapshot != self._last_snapshot:
-            self._last_snapshot = snapshot
-            self._hops_cache.clear()
-            for node_id in range(self.channel.num_nodes):
-                self._views[node_id] = {k: set(v) for k, v in snapshot.items()}
-                self._next_hop_tables[node_id] = next_hop_table(snapshot, node_id)
+        snapshot = self.channel.connectivity()
+        if snapshot != self._view:
+            self._view = snapshot
+            self._trees.clear()
         self.view_updates += 1
-
-    def on_topology_change(self) -> None:
-        """Callback for mobility: mark views as refreshable at next period.
-
-        Deliberately does nothing immediately — a real link-state
-        protocol needs time to flood updated LSAs, so the view only
-        catches up at the next periodic refresh.  Scenarios that want
-        instant convergence can call :meth:`refresh_all_views` instead.
-        """
 
     # -- queries used by forwarding and by iJTP ------------------------------------------
 
     def view_of(self, node_id: int) -> Dict[int, Set[int]]:
-        """The topology as ``node_id`` currently believes it to be."""
-        if node_id not in self._views:
+        """The topology as ``node_id`` currently believes it to be (treat as immutable)."""
+        if self._view is None:
             self.refresh_all_views()
-        return self._views[node_id]
+        assert self._view is not None
+        return self._view
+
+    def _tree(self, node_id: int) -> Tuple[Dict[int, float], Dict[int, int]]:
+        """Hop counts and first hops from ``node_id``: one traversal per view generation."""
+        tree = self._trees.get(node_id)
+        if tree is None:
+            dist, prev = shortest_path_tree(self.view_of(node_id), node_id)
+            tree = self._trees[node_id] = (dist, next_hop_table(prev, node_id))
+        return tree
 
     def next_hop(self, node_id: int, destination: int) -> Optional[int]:
         """Next hop from ``node_id`` towards ``destination`` (or None)."""
         if node_id == destination:
             return destination
-        table = self._next_hop_tables.get(node_id)
-        if table is None:
-            self.refresh_all_views()
-            table = self._next_hop_tables[node_id]
-        return table.get(destination)
+        return self._tree(node_id)[1].get(destination)
 
     def hops_to(self, node_id: int, destination: int) -> Optional[int]:
-        """Remaining hop count from ``node_id`` to ``destination`` per its view.
-
-        Served from a per-node distance map computed once per view
-        generation — iJTP asks for the remaining hop count on every
-        packet service, and re-running Dijkstra against an unchanged
-        view was the single hottest call in a paper run.
-        """
+        """Remaining hop count from ``node_id`` to ``destination`` per its view."""
         if node_id == destination:
             return 0
-        dist = self._hops_cache.get(node_id)
-        if dist is None:
-            dist = shortest_path_tree(self.view_of(node_id), node_id)[0]
-            self._hops_cache[node_id] = dist
-        hops = dist.get(destination)
+        hops = self._tree(node_id)[0].get(destination)
         return None if hops is None else int(hops)
 
     def route(self, source: int, destination: int) -> Optional[List[int]]:
@@ -138,4 +102,5 @@ class LinkStateRouting:
 
     def true_hops(self, source: int, destination: int) -> Optional[int]:
         """Hop count on the *actual* current topology (ground truth, for tests)."""
-        return path_length(self.channel.connectivity(), source, destination)
+        path = shortest_path(self.channel.connectivity(), source, destination)
+        return None if path is None else len(path) - 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
@@ -48,9 +48,6 @@ class RandomWaypointMobility:
     update_interval:
         How often positions are advanced along the current leg.  Smaller
         values give smoother trajectories at higher event cost.
-    on_topology_change:
-        Optional callback invoked after every position update so the
-        routing protocol can refresh its views.
     """
 
     def __init__(
@@ -62,7 +59,6 @@ class RandomWaypointMobility:
         mean_pause: float = 100.0,
         field_size: float = 200.0,
         update_interval: float = 1.0,
-        on_topology_change: Optional[Callable[[], None]] = None,
     ):
         self.channel = channel
         self._rng = rng
@@ -71,7 +67,6 @@ class RandomWaypointMobility:
         self.mean_pause = require_non_negative(mean_pause, "mean_pause")
         self.field_size = require_positive(field_size, "field_size")
         self.update_interval = require_positive(update_interval, "update_interval")
-        self.on_topology_change = on_topology_change
         self._targets: List[Optional[Position]] = [None] * channel.num_nodes
         self._sim: Optional[Simulator] = None
 
@@ -121,8 +116,6 @@ class RandomWaypointMobility:
         # unless the node crossed a grid cell), so per-step position
         # updates stay O(1) regardless of network size.
         self.channel.set_position(node_id, new_position)
-        if self.on_topology_change is not None:
-            self.on_topology_change()
         if new_position is target or new_position == target:
             self._targets[node_id] = None
             sim.schedule(self._sample_pause(), self._begin_leg, node_id)

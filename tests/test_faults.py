@@ -308,15 +308,15 @@ class TestFaultApplication:
 
 
 class TestRoutingReconvergence:
-    """The unchanged-snapshot Dijkstra skip across a partition/heal cycle.
+    """The per-generation tree cache across a partition/heal cycle.
 
-    ``LinkStateRouting.refresh_all_views`` skips per-node view copies and
-    shortest-path recomputation whenever the neighbour snapshot is
-    unchanged — the steady state of every static topology.  A fault plan
-    breaks exactly that assumption mid-run: the partition must invalidate
-    the per-view distance maps (``hops_to``) and next-hop tables, and the
-    heal must invalidate them *again* rather than serving the partitioned
-    answer from a stale cache.
+    ``LinkStateRouting.refresh_all_views`` keeps the held view and its
+    per-node shortest-path trees (hop counts and first hops) whenever the
+    channel's connectivity snapshot is unchanged — the steady state of
+    every static topology.  A fault plan breaks exactly that assumption
+    mid-run: the partition must drop the trees behind ``hops_to`` and
+    ``next_hop``, and the heal must drop them *again* rather than serving
+    the partitioned answer from a stale cache.
     """
 
     def test_hops_and_reachability_follow_a_partition_heal_cycle(self):

@@ -63,17 +63,6 @@ def test_slow_nodes_move_less_than_fast_nodes():
     assert total_displacement(5.0) > total_displacement(0.1)
 
 
-def test_topology_change_callback_invoked():
-    sim = Simulator()
-    channel = _make_channel()
-    calls = []
-    mobility = RandomWaypointMobility(channel, random.Random(2), speed=2.0, mean_pause=1.0,
-                                      field_size=200.0, on_topology_change=lambda: calls.append(1))
-    mobility.start(sim)
-    sim.run(until=100.0)
-    assert len(calls) > 0
-
-
 def test_describe_mentions_speed():
     channel = _make_channel()
     mobility = RandomWaypointMobility(channel, random.Random(1), speed=2.5)
