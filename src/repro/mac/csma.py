@@ -115,8 +115,7 @@ class CsmaMac(TdmaMac):
     def _attempt_collided(self, packet: object, next_hop: int, attempt_no: int, attempts_allowed: int) -> None:
         """Handle an attempt destroyed by a collision: energy is still spent."""
         now = self.sim.now
-        nbits = self._packet_bits(packet)
-        tx_energy = self.config.energy.transmit_energy(nbits)
+        tx_energy, _rx_energy, _slot_service_time, frame_time = self._attempt_costs(self._packet_bits(packet))
         flow_id = getattr(packet, "flow_id", -1)
         self._energy_meter.record_tx(flow_id, tx_energy)
         self._charge_packet_energy(packet, tx_energy)
@@ -124,11 +123,12 @@ class CsmaMac(TdmaMac):
         self.collisions += 1
 
         estimator = self.link_estimator(next_hop)
-        estimator.record_attempt(False, now)
+        estimator.record_attempt(False)
         self.stats.record_link_attempt(False)
         self.trace.record("mac_collision", now, node=self.node_id, neighbor=next_hop, flow=flow_id)
 
-        service_time = self._service_time(packet)
+        # _service_time(packet), from the cached frame time.
+        service_time = frame_time + self._rng.uniform(0.0, self.max_backoff)
         if attempt_no < attempts_allowed:
             self.sim.schedule(service_time, self._retry, self._epoch, packet, next_hop, attempt_no + 1, attempts_allowed)
         else:

@@ -2,44 +2,39 @@
 
 The JAVeLEN MAC "keeps statistics about link transmissions and idle
 slots in order to provide estimates of the available transmission rate
-and of the packet loss rate on every link".  iJTP reads three things
-from this estimator:
+and of the packet loss rate on every link".  This estimator keeps the
+two per-link estimates iJTP reads:
 
 * the packet **loss rate** of the link (used to compute the per-packet
   maximum number of transmission attempts, Eq. 2),
-* the **available rate** towards the neighbour (stamped into packet
-  headers after normalising by the average number of link-layer
-  attempts, Section 2.1.1),
-* the **average number of link-layer attempts** per packet, which is
-  the normalisation factor above.
+* the **average number of link-layer attempts** per packet, which
+  normalises the available rate before it is stamped into packet
+  headers (Section 2.1.1).
+
+The third estimate, the **available rate** towards the neighbour, is a
+node-level quantity (the node's unused slot share, not one link's), so
+the MAC computes it from its own transmission meter
+(``TdmaMac.available_rate_pps``); no per-link rate is kept here.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.util.ewma import EWMA, WindowedRate
-from repro.util.validation import require_positive
+from repro.util.ewma import EWMA
 
 
 class LinkEstimator:
-    """EWMA-based estimator of one directed link's loss and usage."""
+    """EWMA-based estimator of one directed link's loss and attempts per packet."""
 
     def __init__(
         self,
         neighbor_id: int,
         loss_alpha: float = 0.1,
         attempts_alpha: float = 0.2,
-        rate_window: float = 20.0,
         initial_loss: float = 0.1,
-        start: Optional[float] = None,
     ):
         self.neighbor_id = neighbor_id
         self._loss = EWMA(loss_alpha, initial=initial_loss)
         self._attempts = EWMA(attempts_alpha, initial=1.0)
-        # `start` is when this estimator began observing the link (its
-        # creation time), so warm-up rates divide by the true observed span.
-        self._tx_rate = WindowedRate(require_positive(rate_window, "rate_window"), start=start)
         self.total_attempts = 0
         self.total_successes = 0
         self.packets_started = 0
@@ -47,13 +42,12 @@ class LinkEstimator:
 
     # -- updates driven by the MAC ----------------------------------------------------
 
-    def record_attempt(self, success: bool, now: float) -> None:
+    def record_attempt(self, success: bool) -> None:
         """Record the outcome of one transmission attempt on this link."""
         self.total_attempts += 1
         if success:
             self.total_successes += 1
         self._loss.update(0.0 if success else 1.0)
-        self._tx_rate.record(now, 1.0)
 
     def record_packet(self, attempts_used: int, delivered: bool) -> None:
         """Record that a packet finished service after ``attempts_used`` attempts."""
@@ -73,10 +67,6 @@ class LinkEstimator:
     def average_attempts(self) -> float:
         """Estimated average number of link-layer attempts per packet."""
         return max(1.0, self._attempts.value_or(1.0))
-
-    def attempt_rate(self, now: float) -> float:
-        """Measured transmission attempts per second on this link."""
-        return self._tx_rate.rate(now)
 
     @property
     def empirical_loss_rate(self) -> float:

@@ -16,6 +16,13 @@ rather than the slot assignment algorithm itself:
   estimates, which is the exact interface the paper says JTP requires
   from any underlying architecture.
 
+The per-packet path pays only for what something reads: the
+:class:`LinkContext` snapshot (and the routing lookup behind its
+``remaining_hops``) is built only when a pre-transmit hook is installed
+— JTP and ATP install one, TCP and UDP do not — and the airtime-derived
+costs of an attempt (tx/rx energy, service time) are computed once per
+packet size and cached on the MAC.
+
 Upper layers hook into the MAC through two hook lists mirroring the
 paper's Algorithms 1 and 2:
 
@@ -83,7 +90,9 @@ class MacConfig:
 class LinkContext:
     """Snapshot of link state handed to pre-transmit hooks (iJTP PreXmit).
 
-    Built once per packet service; hooks must treat it as read-only.
+    Built once per packet service, and only when at least one hook is
+    installed (link-layer retries reuse the decision and build none);
+    hooks must treat it as read-only.
     (A frozen dataclass would enforce that, but its ``__init__`` routes
     every field through ``object.__setattr__`` — measurable at this call
     rate — so the contract is documentation instead.)
@@ -134,6 +143,9 @@ class TdmaMac:
         self.remaining_hops_fn: Optional[Callable[[object], Optional[int]]] = None
 
         self._estimators: Dict[int, LinkEstimator] = {}
+        # nbits -> (tx joules, rx joules, service time, frame time) of
+        # one attempt; see _attempt_costs.
+        self._costs: Dict[float, Tuple[float, float, float, float]] = {}
         # The MAC observes from its construction time, so the meter's
         # warm-up span starts now rather than at the first transmission.
         self._node_tx_rate = WindowedRate(self.config.estimator_window, start=sim.now)
@@ -156,9 +168,7 @@ class TdmaMac:
                 neighbor,
                 loss_alpha=self.config.loss_alpha,
                 attempts_alpha=self.config.attempts_alpha,
-                rate_window=self.config.estimator_window,
                 initial_loss=self.channel.average_loss_probability(self.node_id, neighbor),
-                start=self.sim.now,
             )
             self._estimators[neighbor] = estimator
         return estimator
@@ -231,6 +241,32 @@ class TdmaMac:
         airtime = self.config.energy.airtime(nbits) + self.config.guard_time
         return airtime / self.config.slot_share
 
+    def _attempt_costs(self, nbits: float) -> Tuple[float, float, float, float]:
+        """``(tx joules, rx joules, service time, frame time)`` of one attempt.
+
+        Computed once per packet size and cached: a flow's packets come
+        in a handful of sizes, and every expression is the one the
+        energy model's ``transmit_energy``/``receive_energy`` and
+        :meth:`_service_time` evaluate, so the cached floats are
+        bit-equal to recomputing them.  The frame time (airtime plus
+        guard, before slot-share scaling) is what CSMA's service time
+        builds on.
+        """
+        costs = self._costs.get(nbits)
+        if costs is None:
+            config = self.config
+            energy = config.energy
+            airtime = energy.airtime(nbits)
+            frame_time = airtime + config.guard_time
+            costs = (
+                energy.tx_power_watts * airtime,
+                energy.rx_power_watts * airtime,
+                frame_time / config.slot_share,
+                frame_time,
+            )
+            self._costs[nbits] = costs
+        return costs
+
     @staticmethod
     def _packet_bits(packet: object) -> float:
         try:
@@ -251,12 +287,14 @@ class TdmaMac:
             self._busy = False
             return
         packet, next_hop = entry
-        context = self.link_context(next_hop, remaining_hops=self._remaining_hops(packet))
-        for hook in self.pre_transmit_hooks:
-            if not hook(packet, context):
-                self._dropped(packet, "pre_transmit_hook")
-                self.sim.schedule(0.0, self._service_next)
-                return
+        hooks = self.pre_transmit_hooks
+        if hooks:
+            context = self.link_context(next_hop, remaining_hops=self._remaining_hops(packet))
+            for hook in hooks:
+                if not hook(packet, context):
+                    self._dropped(packet, "pre_transmit_hook")
+                    self.sim.schedule(0.0, self._service_next)
+                    return
         attempts_allowed = self.config.arq.attempts_for(getattr(packet, "max_link_attempts", None))
         self._attempt(packet, next_hop, attempt_no=1, attempts_allowed=attempts_allowed)
 
@@ -290,16 +328,8 @@ class TdmaMac:
             self._dropped(packet, "node_down")
             self._busy = False
             return
-        # Hot path: one attempt per MAC transmission.  The airtime is
-        # computed once and reused for the tx energy, rx energy and
-        # service time — the same floating-point expressions the energy
-        # model's public methods evaluate, just not three times over.
         now = self.sim.now
-        config = self.config
-        energy_model = config.energy
-        nbits = self._packet_bits(packet)
-        airtime = energy_model.airtime(nbits)
-        tx_energy = energy_model.tx_power_watts * airtime
+        tx_energy, rx_energy, service_time, _frame_time = self._attempt_costs(self._packet_bits(packet))
         flow_id = getattr(packet, "flow_id", -1)
 
         self._energy_meter.record_tx(flow_id, tx_energy)
@@ -308,7 +338,7 @@ class TdmaMac:
 
         estimator = self.link_estimator(next_hop)
         success = self.channel.transmission_succeeds(self.node_id, next_hop, now)
-        estimator.record_attempt(success, now)
+        estimator.record_attempt(success)
         self.stats.record_link_attempt(success)
         if self.trace.enabled:
             self.trace.record(
@@ -322,11 +352,9 @@ class TdmaMac:
                 success=success,
             )
 
-        service_time = (airtime + config.guard_time) / config.slot_share
         schedule = self.sim.schedule
         if success:
             estimator.record_packet(attempt_no, delivered=True)
-            rx_energy = energy_model.rx_power_watts * airtime
             self.stats.register_node(next_hop).record_rx(flow_id, rx_energy)
             self._charge_packet_energy(packet, rx_energy)
             schedule(service_time, self._deliver, next_hop, packet)

@@ -238,9 +238,7 @@ class TcpSackSender:
     def _on_timeout(self) -> None:
         if self.completed:
             return
-        now = self.sim.now
-        stale = [seq for seq, sent in self._sent_time.items()
-                 if seq in self._outstanding and now - sent >= self.rto]
+        stale = self._stale_segments(self.sim.now)
         if stale:
             self.timeouts += 1
             self._loss_rate.update(1.0)
@@ -250,6 +248,17 @@ class TcpSackSender:
                 self._retransmit_set.add(oldest)
             self._update_rate()
         self._arm_timeout()
+
+    def _stale_segments(self, now: float) -> List[int]:
+        """Outstanding segments sent at least one RTO before ``now``.
+
+        The RTO is read once per scan, not once per segment: nothing in
+        the scan changes it, and a timeout scan can cover a few hundred
+        outstanding segments.
+        """
+        rto = self.rto
+        return [seq for seq, sent in self._sent_time.items()
+                if seq in self._outstanding and now - sent >= rto]
 
     def _maybe_complete(self) -> None:
         if self.completed:

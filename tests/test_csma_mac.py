@@ -89,3 +89,42 @@ def test_csma_jtp_transfer_end_to_end():
     connection = open_transfer(network, 0, 3, 20_000)
     network.run(400.0)
     assert connection.delivered_fraction == pytest.approx(1.0)
+
+
+def test_collided_attempt_costs_equal_energy_model():
+    # With another transmitter always on the medium and collision_base 1,
+    # every attempt collides.  Its tx charge must be bit-equal (==) to the
+    # energy model's, and the loop must hold the medium for exactly
+    # _service_time(packet), backoff draw included, for both sizes.
+    sim = Simulator()
+    stats = NetworkStats()
+    channel = Channel(linear_positions(2, 40), radio_range=50.0, rng=random.Random(0),
+                      default_quality=LinkQuality.perfect())
+    medium = SharedMedium()
+    medium.begin_transmission()
+    mac = CsmaMac(0, sim, channel, stats, medium=medium, rng=random.Random(7), collision_base=1.0)
+    twin = CsmaMac(0, Simulator(), channel, NetworkStats(), medium=SharedMedium(), rng=random.Random(7))
+    charges, drops = [], []
+    record_tx = mac._energy_meter.record_tx
+    mac._energy_meter.record_tx = lambda flow, joules: (charges.append(joules), record_tx(flow, joules))
+    mac.on_packet_dropped = lambda packet, reason: drops.append((sim.now, reason))
+    order = (6624.0, 416.0) * 2
+    for nbits in order:
+        packet = FramePacket()
+        packet.size_bits = nbits
+        packet.max_link_attempts = 1
+        mac.enqueue(packet, 1)
+    sim.run(until=10.0)
+    radio = mac.config.energy
+    assert mac.collisions == len(order)
+    assert charges == [radio.transmit_energy(nbits) for nbits in order]
+    # Each collided attempt drops its frame, then holds the loop for one
+    # CSMA service time; the twin replays the same rng draws.
+    expected, clock = [], 0.0
+    for nbits in order:
+        expected.append((clock, "link_exhausted"))
+        twin._rng.random()  # the collision draw
+        packet = FramePacket()
+        packet.size_bits = nbits
+        clock += twin._service_time(packet)
+    assert drops == expected

@@ -15,25 +15,25 @@ def test_initial_loss_seed():
 def test_loss_rate_converges_to_observed():
     estimator = LinkEstimator(1, loss_alpha=0.1, initial_loss=0.5)
     rng = random.Random(0)
-    for i in range(3000):
-        estimator.record_attempt(rng.random() >= 0.2, now=i * 0.1)
+    for _ in range(3000):
+        estimator.record_attempt(rng.random() >= 0.2)
     assert 0.10 <= estimator.loss_rate <= 0.32
 
 
 def test_loss_rate_bounded():
     estimator = LinkEstimator(1, initial_loss=0.0)
-    for i in range(50):
-        estimator.record_attempt(False, now=float(i))
+    for _ in range(50):
+        estimator.record_attempt(False)
     assert estimator.loss_rate < 1.0
-    for i in range(500):
-        estimator.record_attempt(True, now=float(i))
+    for _ in range(500):
+        estimator.record_attempt(True)
     assert estimator.loss_rate >= 0.0
 
 
 def test_empirical_loss_rate():
     estimator = LinkEstimator(1)
-    estimator.record_attempt(True, 0.0)
-    estimator.record_attempt(False, 1.0)
+    estimator.record_attempt(True)
+    estimator.record_attempt(False)
     assert estimator.empirical_loss_rate == pytest.approx(0.5)
 
 
@@ -58,15 +58,3 @@ def test_delivery_ratio():
     assert estimator.delivery_ratio == pytest.approx(0.5)
     assert LinkEstimator(2).delivery_ratio == 1.0
 
-
-def test_attempt_rate_windowed():
-    estimator = LinkEstimator(1, rate_window=10.0)
-    for t in range(10):
-        estimator.record_attempt(True, now=float(t))
-    assert estimator.attempt_rate(now=10.0) == pytest.approx(1.0, rel=0.2)
-    assert estimator.attempt_rate(now=100.0) == 0.0
-
-
-def test_invalid_rate_window():
-    with pytest.raises(ValueError):
-        LinkEstimator(1, rate_window=0.0)

@@ -125,6 +125,72 @@ def test_pre_transmit_hook_receives_link_context():
     assert contexts[0].available_rate_pps > 0
 
 
+def test_no_hook_builds_no_link_context(monkeypatch):
+    # TCP and UDP install no pre-transmit hook: the MAC must not build a
+    # LinkContext nor ask routing for the remaining hops on their behalf.
+    sim, stats, macs, received = build_pair()
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("hook context built with no pre-transmit hook installed")
+
+    monkeypatch.setattr(macs[0], "link_context", must_not_run)
+    macs[0].remaining_hops_fn = must_not_run
+    for _ in range(3):
+        macs[0].enqueue(FramePacket(), 1)
+    sim.run(until=10.0)
+    assert len(received) == 3
+
+
+def test_hook_context_built_once_per_packet_service(monkeypatch):
+    # Every attempt fails, so each packet uses all three of its attempts;
+    # the retries must not build (or hand the hook) another context.
+    quality = LinkQuality(good_loss=1.0, bad_loss=1.0, bad_fraction=0.0)
+    sim, stats, macs, received = build_pair(quality=quality)
+    mac = macs[0]
+    built = []
+    build_context = mac.link_context
+
+    def counting_link_context(neighbor, remaining_hops=None):
+        built.append((neighbor, remaining_hops))
+        return build_context(neighbor, remaining_hops=remaining_hops)
+
+    monkeypatch.setattr(mac, "link_context", counting_link_context)
+    mac.remaining_hops_fn = lambda packet: 4
+    seen = []
+    mac.pre_transmit_hooks.append(lambda packet, context: seen.append(context) or True)
+    for _ in range(2):
+        mac.enqueue(FramePacket(max_link_attempts=3), 1)
+    sim.run(until=20.0)
+    assert stats.link_transmissions == 6
+    assert built == [(1, 4), (1, 4)]
+    assert len(seen) == 2 and all(context.remaining_hops == 4 for context in seen)
+
+
+def test_attempt_costs_equal_energy_model():
+    # Cached per-size costs must be bit-equal (==, not approx) to the
+    # energy model's own expressions, on a cache miss and on a hit.
+    sim, stats, macs, received = build_pair()
+    radio = macs[0].config.energy
+    tx_charges, rx_charges, arrivals = [], [], []
+    tx_meter, rx_meter = stats.energy[0], stats.register_node(1)
+    record_tx, record_rx = tx_meter.record_tx, rx_meter.record_rx
+    tx_meter.record_tx = lambda flow, joules: (tx_charges.append(joules), record_tx(flow, joules))
+    rx_meter.record_rx = lambda flow, joules: (rx_charges.append(joules), record_rx(flow, joules))
+    macs[0].deliver_to_peer = lambda next_hop, packet, frm: arrivals.append(sim.now)
+    order = (6624.0, 416.0) * 2
+    for nbits in order:
+        macs[0].enqueue(FramePacket(size_bits=nbits), 1)
+    sim.run(until=20.0)
+    assert tx_charges == [radio.transmit_energy(nbits) for nbits in order]
+    assert rx_charges == [radio.receive_energy(nbits) for nbits in order]
+    # Each attempt occupies exactly _service_time(packet) of wall clock.
+    expected, clock = [], 0.0
+    for nbits in order:
+        clock += macs[0]._service_time(FramePacket(size_bits=nbits))
+        expected.append(clock)
+    assert arrivals == expected
+
+
 def test_post_receive_hook_can_consume():
     sim, stats, macs, received = build_pair()
     macs[1].post_receive_hooks.append(lambda packet, mac: False)

@@ -1,15 +1,19 @@
 """Baseline transports: TCP-SACK, ATP-like, UDP-like, JNC, and the registry."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import JTPConfig
 from repro.sim.channel import LinkQuality
+from repro.sim.engine import Simulator
 from repro.sim.network import Network
+from repro.sim.stats import FlowStats
 from repro.transport.atp import AtpConfig, AtpProtocol
 from repro.transport.jnc import JNCProtocol
 from repro.transport.jtp import JTPProtocol
 from repro.transport.registry import available_protocols, make_protocol
-from repro.transport.tcp_sack import TcpConfig, TcpSackProtocol, padhye_throughput_pps
+from repro.transport.tcp_sack import TcpConfig, TcpSackProtocol, TcpSackSender, padhye_throughput_pps
 from repro.transport.udp import UdpConfig, UdpProtocol
 
 
@@ -83,6 +87,44 @@ class TestTcpSack:
             )
 
         assert signature() == signature()
+
+
+class TestTcpTimeoutScan:
+    """``_on_timeout`` scans every outstanding segment against one RTO."""
+
+    SEND_TIMES = {0: 9.0, 1: 9.5, 2: 1.0, 3: 6.5, 4: 2.0, 5: 9.9, 6: 3.0, 7: 8.0}
+    NOW = 10.0
+
+    def sender_at(self, now, monkeypatch):
+        """A sender with mixed send times whose timeout fires at ``now``."""
+        sim = Simulator()
+        node = SimpleNamespace(sim=sim, node_id=0, send=lambda packet: None)
+        sender = TcpSackSender(node, 0, 1, 8 * 800.0, TcpConfig(min_rto=2.0), FlowStats(0, 0, 1))
+        for seq, sent in self.SEND_TIMES.items():
+            sender._outstanding[seq] = 800.0
+            sender._sent_time[seq] = sent
+        monkeypatch.setattr(sender, "_arm_timeout", lambda: None)
+        sim.schedule_at(now, sender._on_timeout)
+        return sim, sender
+
+    def test_rto_read_once_per_scan(self, monkeypatch):
+        reads = []
+        rto = TcpSackSender.rto.fget
+        monkeypatch.setattr(TcpSackSender, "rto", property(lambda self: reads.append(1) or rto(self)))
+        sim, sender = self.sender_at(self.NOW, monkeypatch)
+        monkeypatch.setattr(sender, "_update_rate", lambda: None)
+        sim.run()
+        assert sender.timeouts == 1
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("now", [10.0, 7.5, 10.5, 20.0, 3.0])
+    def test_stale_set_matches_per_segment_rto(self, now, monkeypatch):
+        sim, sender = self.sender_at(now, monkeypatch)
+        stale = [seq for seq, sent in self.SEND_TIMES.items() if now - sent >= sender.rto]
+        assert sender._stale_segments(now) == stale
+        sim.run()
+        assert sender.timeouts == (1 if stale else 0)
+        assert list(sender._retransmit_queue) == ([min(stale)] if stale else [])
 
 
 class TestAtp:
